@@ -289,14 +289,23 @@ class CompareResult:
         return not self.structural and all(d.ok for d in self.diffs)
 
 
+def _cell(row: dict[str, str], column: str) -> float:
+    try:
+        return float(row[column])
+    except ValueError:
+        raise ValueError(
+            f"row {row.get('index', '?')}: {column} is not a number: {row[column]!r}"
+        ) from None
+
+
 def _shift_invariant(row: dict[str, str], column: str) -> Optional[float]:
     """L_minus_N or Q_minus_L from an explicit column or the raw columns."""
     if row.get(column, "") != "":
-        return float(row[column])
+        return _cell(row, column)
     if column == "L_minus_N" and row.get("L") and row.get("N"):
-        return float(row["L"]) - float(row["N"])
+        return _cell(row, "L") - _cell(row, "N")
     if column == "Q_minus_L" and row.get("Q") and row.get("L"):
-        return float(row["Q"]) - float(row["L"])
+        return _cell(row, "Q") - _cell(row, "L")
     return None
 
 
@@ -312,7 +321,8 @@ def compare_reports(
     are compared only when ``normalized`` is off; with it, the
     normalisation-independent pairs L - N and Q - L are compared instead,
     which is what allows checking against references using a shifted form
-    of the same inequality.
+    of the same inequality.  A compared cell that is not a number raises
+    ValueError.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -329,7 +339,7 @@ def compare_reports(
         columns: list[tuple[str, Optional[float], Optional[float]]] = []
         for col in INVARIANT_COLUMNS:
             if row.get(col, "") != "" and ref.get(col, "") != "":
-                columns.append((col, float(row[col]), float(ref[col])))
+                columns.append((col, _cell(row, col), _cell(ref, col)))
         if normalized:
             for col in ("L_minus_N", "Q_minus_L"):
                 a, b = _shift_invariant(row, col), _shift_invariant(ref, col)
@@ -338,7 +348,7 @@ def compare_reports(
         else:
             for col in ("L", "N", "Q"):
                 if row.get(col, "") != "" and ref.get(col, "") != "":
-                    columns.append((col, float(row[col]), float(ref[col])))
+                    columns.append((col, _cell(row, col), _cell(ref, col)))
         for col, a, b in columns:
             diffs.append(
                 ColumnDiff(

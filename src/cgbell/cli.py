@@ -73,7 +73,10 @@ def _cmd_compare(args) -> int:
             for col in ("L", "N", "Q", "L_minus_N", "Q_minus_L",
                         "theta_over_pi", "lambda", "lambda_me", "eta_sym")
         }
-    result = compare_reports(rows, reference, tolerances, normalized=args.normalized)
+    try:
+        result = compare_reports(rows, reference, tolerances, normalized=args.normalized)
+    except ValueError as exc:
+        raise InputError(f"{args.input} vs {args.reference}: {exc}") from exc
     for issue in result.structural:
         print(f"structural: {issue}")
     for d in result.diffs:
@@ -89,7 +92,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_canon(args) -> int:
     tables = _read_tables(args.input)
-    groups = group_equivalent(tables)
+    try:
+        groups = group_equivalent(tables)
+    except ValueError as exc:
+        # a relabeling can grow a coefficient up to 9-fold, past MAX_COEFFICIENT
+        raise InputError(f"{args.input}: cannot canonicalise: {exc}") from exc
     label = lambda i: tables[i - 1].name or f"#{i}"
     for g, group in enumerate(groups, start=1):
         members = ", ".join(label(i) for i in group.members)

@@ -2,9 +2,22 @@
 
 A linear functional over the local set attains its maximum at a deterministic
 vertex, so the local bound is an exact integer maximum over the
-2^(na+nb) deterministic strategies.  Facet verification needs the affine
-dimension of the saturating vertex set, which is computed by exact rational
-row reduction, never floating point.
+2^(na+nb) deterministic strategies.
+
+Facet verification needs the affine dimension of the saturating vertex set,
+which is rank(B) - 1 for the 0/1 matrix B = [1 | joint | alpha | beta] whose
+n rows are the saturating vertices.  Over the rationals rank(B) equals the
+rank of the Gram matrix G = B^T B, which is (D+1) x (D+1) for
+D = cg_dimension however many vertices saturate.  Its entries are vertex
+counts, so float64 forms it exactly, straight from the vertex grid.
+
+The rank of G modulo the prime p = 2^31 - 1, by int64 row reduction, is a
+lower bound on the rational rank.  It is therefore exact when it reaches the
+upper bound min(n, D + 1), or min(n, D) when the functional is not
+identically zero (every saturating row then lies on its hyperplane).  A
+facet, the full polytope and an affinely independent vertex set are all
+certified that way.  Only below that bound does exact rational elimination
+(exact_rank) run, on G.  No step is random and none rounds.
 """
 
 from __future__ import annotations
@@ -17,6 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Behavior, CgTable, Scenario
+
+# the largest prime below 2^31: residues multiply without leaving int64
+_PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -34,11 +50,6 @@ class DeterministicStrategy:
         if (scenario.na, scenario.nb) != (len(self.alpha), len(self.beta)):
             raise ValueError("strategy does not match scenario")
         return Behavior.deterministic(scenario, self.alpha, self.beta)
-
-    def cg_coordinates(self) -> tuple[int, ...]:
-        """Vertex coordinates (joint row-major, then alpha, then beta)."""
-        joint = tuple(a * b for a in self.alpha for b in self.beta)
-        return joint + self.alpha + self.beta
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,49 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _gram(scenario: Scenario, saturating: np.ndarray) -> np.ndarray:
+    """G = B^T B for the 0/1 matrix B whose rows are the saturating vertices.
+
+    Every vertex coordinate is a product u_i * v_j of an entry of
+    u = (1, alpha) and one of v = (1, beta): (0, 0) is the constant, (x, 0)
+    alpha, (0, y) beta and (x, y) the joint.  So G[(i, j), (k, l)] sums
+    u_i u_k v_j v_l over the saturated cells of the vertex grid, which is one
+    product P_a^T S P_b of the 0/1 grid S with the pair products P_a, P_b,
+    and B itself is never formed.  Entries are counts <= 2^16, exact in
+    float64.  Coordinates come in row-major (i, j) order, a permutation of
+    (joint, alpha, beta) that leaves the rank alone.
+    """
+
+    def pairs(n: int) -> np.ndarray:
+        u = np.hstack([np.ones((2**n, 1), dtype=np.int64), _bit_rows(n)])
+        return (u[:, :, None] * u[:, None, :]).reshape(2**n, -1).astype(np.float64)
+
+    ua, ub = scenario.na + 1, scenario.nb + 1
+    g = pairs(scenario.na).T @ saturating.astype(np.float64) @ pairs(scenario.nb)
+    g = g.reshape(ua, ua, ub, ub).transpose(0, 2, 1, 3).reshape(ua * ub, ua * ub)
+    return g.astype(np.int64)
+
+
+def _rank_mod_p(m: np.ndarray) -> int:
+    """Rank over F_p of a nonnegative int64 matrix, by row reduction."""
+    m = m % _PRIME
+    rank = 0
+    for col in range(m.shape[1]):
+        nonzero = np.flatnonzero(m[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + int(nonzero[0])
+        m[[rank, pivot]] = m[[pivot, rank]]
+        # entries stay below p < 2^31, so every product fits in int64
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, _PRIME) % _PRIME
+        factors = m[rank + 1 :, col].copy()
+        m[rank + 1 :] = (m[rank + 1 :] - factors[:, None] * m[rank]) % _PRIME
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
 def facet_check(table: CgTable) -> FacetReport:
     """Verify validity and facet-ness of a table against its own bound.
 
@@ -130,21 +184,22 @@ def facet_check(table: CgTable) -> FacetReport:
     """
     values = _vertex_values(table)
     is_valid = int(values.max()) == table.bound
+    dim_cg = table.scenario.cg_dimension()
 
-    strategies = enumerate_strategies(table.scenario)
-    flat = values.ravel()  # same lexicographic order as enumerate_strategies
-    saturating = [s for s, v in zip(strategies, flat) if int(v) == table.bound]
-
-    if len(saturating) <= 1:
+    saturating = values == table.bound
+    n = int(saturating.sum())
+    if n <= 1:
         dim = 0
     else:
-        base = saturating[0].cg_coordinates()
-        diffs = [
-            [a - b for a, b in zip(s.cg_coordinates(), base)] for s in saturating[1:]
-        ]
-        dim = exact_rank(diffs)
-    is_facet = is_valid and dim == table.scenario.cg_dimension() - 1
-    return FacetReport(is_valid, len(saturating), dim, is_facet)
+        gram = _gram(table.scenario, saturating)
+        nonzero = table.bound != 0 or table.d.any() or table.c.any() or table.e.any()
+        upper = min(n, dim_cg if nonzero else dim_cg + 1)
+        rank = _rank_mod_p(gram)
+        if rank < upper:
+            rank = exact_rank(gram.tolist())
+        dim = rank - 1
+    is_facet = is_valid and dim == dim_cg - 1
+    return FacetReport(is_valid, n, dim, is_facet)
 
 
 def detect_lifting(table: CgTable) -> Optional[Lifting]:

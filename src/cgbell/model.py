@@ -10,7 +10,11 @@ those coordinates together with a local bound::
     sum_xy d[x][y] p(00|xy) + sum_x c[x] pA(0|x) + sum_y e[y] pB(0|y) <= bound
 
 Coefficients are restricted to integers, which is what makes exact local
-bounds and exact facet ranks possible downstream.
+bounds and exact facet ranks possible downstream.  Their magnitude, and the
+bound's, is capped at MAX_COEFFICIENT = 2^44: with at most 80 coefficients
+every vertex value, and every doubled one-detector sum of the detection
+analysis, stays below 4 * 80 * 2^44 < 2^53, so it is exact in int64 and in
+float64 alike.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 MAX_SETTINGS = 8
+MAX_COEFFICIENT = 2**44
 
 
 class ParseError(ValueError):
@@ -61,11 +66,15 @@ def _int_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(arr, rounded):
-            raise ValueError(f"{what} must contain integers only")
-        arr = rounded
+    if arr.dtype != np.int64:
+        # bound the values before a cast to int64 could wrap them
+        if np.any((arr > MAX_COEFFICIENT) | (arr < -MAX_COEFFICIENT)):
+            raise ValueError(f"{what} entries must lie within +-2**44")
+        if not np.issubdtype(arr.dtype, np.integer):
+            rounded = np.rint(arr)
+            if not np.array_equal(arr, rounded):
+                raise ValueError(f"{what} must contain integers only")
+            arr = rounded
     arr = arr.astype(np.int64)
     arr.flags.writeable = False
     return arr
@@ -92,8 +101,15 @@ class CgTable:
         object.__setattr__(self, "d", _int_array(self.d, (na, nb), "d"))
         object.__setattr__(self, "c", _int_array(self.c, (na,), "c"))
         object.__setattr__(self, "e", _int_array(self.e, (nb,), "e"))
+        # one pass over all int64 coefficients; abs(-2**63) wraps to itself,
+        # which the unsigned view reads as 2**63
+        coefficients = np.concatenate((self.d.ravel(), self.c, self.e))
+        if np.abs(coefficients).view(np.uint64).max() > MAX_COEFFICIENT:
+            raise ValueError("coefficients must lie within +-2**44")
         if not isinstance(self.bound, (int, np.integer)):
             raise ValueError(f"bound must be an integer, got {self.bound!r}")
+        if abs(int(self.bound)) > MAX_COEFFICIENT:
+            raise ValueError(f"bound must lie within +-2**44, got {self.bound}")
         object.__setattr__(self, "bound", int(self.bound))
         if self.name is not None:
             if not self.name or "#" in self.name or "\n" in self.name:
@@ -234,6 +250,8 @@ def _parse_ints(lineno: int, tokens: Sequence[str], count: int, what: str) -> li
             values.append(int(tok))
         except ValueError:
             raise ParseError(lineno, f"non-integer coefficient {tok!r} in {what}") from None
+        if abs(values[-1]) > MAX_COEFFICIENT:
+            raise ParseError(lineno, f"coefficient {tok} in {what} exceeds 2**44 in magnitude")
     return values
 
 

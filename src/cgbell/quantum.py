@@ -233,7 +233,8 @@ def _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta):
     ra[:, :, 2] = (ct * (drow + 2 * c) + b[:, :, 2] @ d.T) / 4
     norms = np.linalg.norm(ra, axis=2)
     keep = norms > 0
-    a = np.where(keep[:, :, None], np.divide(ra, norms[:, :, None], where=keep[:, :, None]), a)
+    # a vector with zero gradient keeps its old direction
+    a = np.divide(ra, norms[:, :, None], out=a.copy(), where=keep[:, :, None])
 
     rb = np.empty_like(b)
     rb[:, :, 0] = st * (a[:, :, 0] @ d) / 4
@@ -241,7 +242,7 @@ def _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta):
     rb[:, :, 2] = (ct * (dcol + 2 * e) + a[:, :, 2] @ d) / 4
     norms = np.linalg.norm(rb, axis=2)
     keep = norms > 0
-    b = np.where(keep[:, :, None], np.divide(rb, norms[:, :, None], where=keep[:, :, None]), b)
+    b = np.divide(rb, norms[:, :, None], out=b.copy(), where=keep[:, :, None])
 
     if update_theta:
         az, bz = a[:, :, 2], b[:, :, 2]

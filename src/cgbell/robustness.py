@@ -13,23 +13,21 @@ measurement choice, and the efficiency threshold decouples into a quadratic
     (Q - M + X) eta^2 + (M - 2X) eta + (X - L) = 0,   M = M_A + M_B
 
 solved per no-click assignment: on non-detection each party substitutes a
-fixed output, chosen per setting.  Restricting the substituted outputs to
-be constant per party (four strategies in total) is available as an option
-but is strictly weaker: on several four-setting facets the per-setting
-choice closes the loophole at a visibly lower efficiency.
+fixed output, chosen per setting.  The no-detector value X of an assignment
+is the functional at the deterministic vertex that outputs 0 exactly where
+the substituted output is 0, and 2 M_A (2 M_B) is an integer that depends
+only on Bob's (Alice's) outputs.  So all 2^(na+nb) quadratics come from the
+integer vertex grid of the local bound and are solved at once.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .localpoly import local_bound, white_noise_value
+from .localpoly import _bit_rows, _vertex_values, local_bound, white_noise_value
 from .model import CgTable
 
 _VIOLATION_TOL = 1e-9
@@ -37,23 +35,6 @@ _VIOLATION_TOL = 1e-9
 
 class InconsistencyError(ValueError):
     """A quantum value below the white-noise value; not producible by a valid run."""
-
-
-@dataclass(frozen=True, order=True)
-class NoClickStrategy:
-    """Party-constant substituted outputs (a_hat for Alice, b_hat for Bob)."""
-
-    a_hat: int
-    b_hat: int
-
-    def __post_init__(self):
-        if self.a_hat not in (0, 1) or self.b_hat not in (0, 1):
-            raise ValueError("no-click outputs must be bits")
-
-
-NOCLICK_STRATEGIES = tuple(
-    NoClickStrategy(a, b) for a, b in itertools.product((0, 1), repeat=2)
-)
 
 
 @dataclass(frozen=True, order=True)
@@ -66,18 +47,6 @@ class NoClickAssignment:
     def __post_init__(self):
         if not all(v in (0, 1) for v in self.a_outputs + self.b_outputs):
             raise ValueError("no-click outputs must be bits")
-
-    @staticmethod
-    def constant(table: CgTable, nc: NoClickStrategy) -> "NoClickAssignment":
-        return NoClickAssignment(
-            (nc.a_hat,) * table.scenario.na, (nc.b_hat,) * table.scenario.nb
-        )
-
-    def party_constants(self) -> Optional[NoClickStrategy]:
-        """The equivalent four-way strategy, when the outputs are party-constant."""
-        if len(set(self.a_outputs)) == 1 and len(set(self.b_outputs)) == 1:
-            return NoClickStrategy(self.a_outputs[0], self.b_outputs[0])
-        return None
 
 
 def noise_resistance(table: CgTable, q: float) -> float:
@@ -98,40 +67,6 @@ def noise_resistance(table: CgTable, q: float) -> float:
     return float(bound - noise) / (q - float(noise))
 
 
-def assignment_values(
-    table: CgTable, nc: NoClickAssignment
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (M_A, M_B, X) for a per-setting assignment, maximally entangled state.
-
-    M_A is the functional value when only Alice's detector fires (her
-    marginals are 1/2, Bob outputs b_outputs[y] deterministically), M_B the
-    reverse, X the value when neither fires.
-    """
-    if len(nc.a_outputs) != table.scenario.na or len(nc.b_outputs) != table.scenario.nb:
-        raise ValueError("assignment does not match the table's scenario")
-    a0 = [1 - v for v in nc.a_outputs]
-    b0 = [1 - v for v in nc.b_outputs]
-    col = table.d.sum(axis=0).tolist()
-    row = table.d.sum(axis=1).tolist()
-    m_a = Fraction(int(table.c.sum()), 2) + sum(
-        (Fraction(col[y], 2) + int(table.e[y])) * b0[y] for y in range(len(b0))
-    )
-    m_b = Fraction(int(table.e.sum()), 2) + sum(
-        (Fraction(row[x], 2) + int(table.c[x])) * a0[x] for x in range(len(a0))
-    )
-    x_val = Fraction(
-        int(np.asarray(a0) @ table.d @ np.asarray(b0))
-        + int(table.c @ np.asarray(a0))
-        + int(table.e @ np.asarray(b0))
-    )
-    return m_a, m_b, x_val
-
-
-def noclick_values(table: CgTable, nc: NoClickStrategy) -> tuple[Fraction, Fraction, Fraction]:
-    """(M_A, M_B, X) for one of the four party-constant strategies."""
-    return assignment_values(table, NoClickAssignment.constant(table, nc))
-
-
 @dataclass(frozen=True)
 class DetectionAnalysis:
     """Threshold bundle: both-fire value q, one-detector values m_a/m_b,
@@ -145,56 +80,68 @@ class DetectionAnalysis:
     eta: float
 
 
-def _threshold_root(a: float, b: float, c: float) -> Optional[float]:
-    """Largest root of a*eta^2 + b*eta + c in [0, 1) with the polynomial
-    positive just above it; None when no such crossing exists."""
-    roots = [r.real for r in np.roots([a, b, c]) if abs(r.imag) < 1e-9]
-    for r in sorted(roots, reverse=True):
-        probe = min(1.0, r + 1e-7)
-        if 0.0 <= r < 1.0 and a * probe * probe + b * probe + c > 0.0:
-            return r
-    return None
+def _threshold_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per cell, the largest root of a*eta^2 + b*eta + c in [0, 1) with the
+    polynomial positive just above it; 1.0 where there is none.
+
+    Here c = X - L <= 0, so a negative discriminant needs a < 0, and then
+    the polynomial is negative everywhere: no crossing, whatever np.roots
+    would make of the complex pair.  a = 0 leaves the linear root, as in
+    np.roots.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the stable pair q/a and c/q, q = -(b + sign(b) sqrt(disc))/2;
+        # nan where disc < 0, and fmax/fmin skip the 0/0 of a double root at 0
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        r1, r2 = q / a, c / q
+        hi = np.where(a != 0.0, np.fmax(r1, r2), -c / b)
+        lo = np.where(a != 0.0, np.fmin(r1, r2), np.nan)
+
+    def crossing(r):
+        probe = np.minimum(1.0, r + 1e-7)
+        return (r >= 0.0) & (r < 1.0) & (a * probe * probe + b * probe + c > 0.0)
+
+    # + 0.0 turns a root of -0.0 into the 0.0 that np.roots returns
+    return np.where(crossing(hi), hi, np.where(crossing(lo), lo, 1.0)) + 0.0
 
 
-def detection_threshold(
-    table: CgTable, q_me: float, per_setting: bool = True
-) -> DetectionAnalysis:
+def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     """Minimal symmetric detector efficiency preserving a violation.
 
     ``q_me`` must be the quantum value for the maximally entangled state
     (quantum_bound with fix_theta = pi/4); only then are M_A, M_B, X
     measurement independent and the decoupled quadratic exact.  All
     2^(na+nb) per-setting no-click assignments are solved and the smallest
-    threshold returned (``per_setting=False`` restricts the scan to the four
-    party-constant strategies).  Ties go to the lexicographically smallest
+    threshold returned.  Ties go to the lexicographically smallest
     assignment.  Returns eta = 1 when the state does not violate at full
     efficiency.
     """
-    bound = local_bound(table)
-    na, nb = table.scenario.na, table.scenario.nb
-    if per_setting:
-        assignments = [
-            NoClickAssignment(a, b)
-            for a in itertools.product((0, 1), repeat=na)
-            for b in itertools.product((0, 1), repeat=nb)
-        ]
-    else:
-        assignments = [NoClickAssignment.constant(table, nc) for nc in NOCLICK_STRATEGIES]
+    values = _vertex_values(table)
+    bound = int(values.max())
+    # assignment (a, b) substitutes a where alpha = 1 - a: reversing both
+    # axes of the vertex grid puts the cells in assignment order
+    x_grid = values[::-1, ::-1]
+    a_bits = _bit_rows(table.scenario.na)
+    b_bits = _bit_rows(table.scenario.nb)
+    m_a2 = (int(table.c.sum()) + b_bits @ (table.d.sum(axis=0) + 2 * table.e))[::-1]
+    m_b2 = (int(table.e.sum()) + a_bits @ (table.d.sum(axis=1) + 2 * table.c))[::-1]
 
     if q_me <= bound + _VIOLATION_TOL:
-        m_a, m_b, x_val = assignment_values(table, assignments[0])
-        return DetectionAnalysis(q_me, m_a, m_b, x_val, assignments[0], 1.0)
-
-    best: Optional[DetectionAnalysis] = None
-    for nc in assignments:
-        m_a, m_b, x_val = assignment_values(table, nc)
-        m = m_a + m_b
-        eta = _threshold_root(
-            q_me - float(m) + float(x_val), float(m - 2 * x_val), float(x_val) - bound
+        i = j = 0
+        eta = 1.0
+    else:
+        m2 = m_b2[:, None] + m_a2[None, :]  # 2 M, exact int64
+        x = x_grid.astype(np.float64)
+        etas = _threshold_roots(
+            q_me - m2 / 2.0 + x, (m2 - 4 * x_grid) / 2.0, x - float(bound)
         )
-        if eta is None:
-            eta = 1.0
-        if best is None or eta < best.eta:
-            best = DetectionAnalysis(q_me, m_a, m_b, x_val, nc, eta)
-    assert best is not None
-    return best
+        i, j = np.unravel_index(int(np.argmin(etas)), etas.shape)
+        eta = float(etas[i, j])
+    return DetectionAnalysis(
+        q_me,
+        Fraction(int(m_a2[j]), 2),
+        Fraction(int(m_b2[i]), 2),
+        Fraction(int(x_grid[i, j])),
+        NoClickAssignment(tuple(a_bits[i].tolist()), tuple(b_bits[j].tolist())),
+        eta,
+    )

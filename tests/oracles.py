@@ -3,10 +3,13 @@
 Everything here deliberately avoids the code paths under test: probabilities
 come from explicit 4x4 density-matrix algebra, bounds from brute-force
 enumeration over behaviors, thresholds from bisection, ranks from floating
-point SVD.
+point SVD.  Facet checks and no-click values are the earlier per-vertex and
+per-assignment Fraction formulas, kept here as references for the integer
+kernels that replaced them.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +62,95 @@ def float_rank(rows) -> int:
     if m.size == 0:
         return 0
     return int(np.linalg.matrix_rank(m))
+
+
+def facet_check_fraction(table: CgTable) -> tuple[bool, int, int, bool]:
+    """(is_valid, saturating_count, affine_dimension, is_facet) by exact
+    Fraction elimination of the differences between saturating vertices."""
+    from cgbell import exact_rank
+
+    na, nb = table.scenario.na, table.scenario.nb
+    vertices = []
+    for alpha in itertools.product((0, 1), repeat=na):
+        for beta in itertools.product((0, 1), repeat=nb):
+            value = (
+                sum(int(table.d[x, y]) * alpha[x] * beta[y] for x in range(na) for y in range(nb))
+                + sum(int(table.c[x]) * alpha[x] for x in range(na))
+                + sum(int(table.e[y]) * beta[y] for y in range(nb))
+            )
+            joint = tuple(a * b for a in alpha for b in beta)
+            vertices.append((value, joint + alpha + beta))
+    saturating = [v for value, v in vertices if value == table.bound]
+    is_valid = max(value for value, _ in vertices) == table.bound
+    if len(saturating) <= 1:
+        dim = 0
+    else:
+        base = saturating[0]
+        dim = exact_rank([[a - b for a, b in zip(v, base)] for v in saturating[1:]])
+    is_facet = is_valid and dim == table.scenario.cg_dimension() - 1
+    return is_valid, len(saturating), dim, is_facet
+
+
+def assignment_values(table: CgTable, a_outputs, b_outputs) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (M_A, M_B, X) of a no-click assignment, maximally entangled state.
+
+    M_A is the functional value when only Alice's detector fires (her
+    marginals are 1/2, Bob outputs b_outputs[y] deterministically), M_B the
+    reverse, X the value when neither fires.
+    """
+    a0 = [1 - v for v in a_outputs]
+    b0 = [1 - v for v in b_outputs]
+    col = table.d.sum(axis=0).tolist()
+    row = table.d.sum(axis=1).tolist()
+    m_a = Fraction(int(table.c.sum()), 2) + sum(
+        (Fraction(col[y], 2) + int(table.e[y])) * b0[y] for y in range(len(b0))
+    )
+    m_b = Fraction(int(table.e.sum()), 2) + sum(
+        (Fraction(row[x], 2) + int(table.c[x])) * a0[x] for x in range(len(a0))
+    )
+    x_val = Fraction(
+        int(np.asarray(a0) @ table.d @ np.asarray(b0))
+        + int(table.c @ np.asarray(a0))
+        + int(table.e @ np.asarray(b0))
+    )
+    return m_a, m_b, x_val
+
+
+def threshold_root(a: float, b: float, c: float) -> float:
+    """Largest np.roots root of a*eta^2 + b*eta + c in [0, 1) with the
+    polynomial positive just above it, else 1.0."""
+    roots = [r.real for r in np.roots([a, b, c]) if abs(r.imag) < 1e-9]
+    for r in sorted(roots, reverse=True):
+        probe = min(1.0, r + 1e-7)
+        if 0.0 <= r < 1.0 and a * probe * probe + b * probe + c > 0.0:
+            return r
+    return 1.0
+
+
+def eta_roots(table: CgTable, q_me: float):
+    """(eta, a_outputs, b_outputs, (M_A, M_B, X)) of the best no-click
+    assignment: np.roots per assignment, first strict minimum wins."""
+    from cgbell import local_bound
+
+    bound = local_bound(table)
+    assignments = [
+        (a_out, b_out)
+        for a_out in itertools.product((0, 1), repeat=table.scenario.na)
+        for b_out in itertools.product((0, 1), repeat=table.scenario.nb)
+    ]
+    if q_me <= bound + 1e-9:
+        a_out, b_out = assignments[0]
+        return 1.0, a_out, b_out, assignment_values(table, a_out, b_out)
+    best = None
+    for a_out, b_out in assignments:
+        m_a, m_b, x_val = assignment_values(table, a_out, b_out)
+        m = m_a + m_b
+        eta = threshold_root(
+            q_me - float(m) + float(x_val), float(m - 2 * x_val), float(x_val) - bound
+        )
+        if best is None or eta < best[0]:
+            best = (eta, a_out, b_out, (m_a, m_b, x_val))
+    return best
 
 
 def relabel_behavior(behavior: Behavior, r) -> Behavior:

@@ -10,9 +10,11 @@ from cgbell import (
     Scenario,
     ScenarioMismatchError,
     evaluate,
+    local_bound,
     parse_file,
     serialize_file,
 )
+from cgbell.model import MAX_COEFFICIENT
 
 import oracles
 
@@ -58,6 +60,35 @@ class TestCgTable:
         assert t.d.dtype == np.int64
         with pytest.raises(ValueError):
             CgTable(Scenario(1, 1), d=[[1]], c=[0], e=[0], bound=0.5)
+
+    def test_coefficient_magnitude(self):
+        # 2^62 in every d entry used to overflow int64 in the vertex grid
+        with pytest.raises(ValueError, match="2\\*\\*44"):
+            CgTable(Scenario(2, 2), d=[[2**62] * 2] * 2, c=[0, 0], e=[0, 0], bound=0)
+        with pytest.raises(ValueError, match="2\\*\\*44"):
+            CgTable(Scenario(1, 1), d=[[0]], c=[-(MAX_COEFFICIENT + 1)], e=[0], bound=0)
+        with pytest.raises(ValueError, match="2\\*\\*44"):
+            CgTable(Scenario(1, 1), d=[[0]], c=[0], e=[10**23], bound=0)
+        with pytest.raises(ValueError, match="2\\*\\*44"):
+            CgTable(Scenario(1, 1), d=[[0]], c=[0], e=[0], bound=MAX_COEFFICIENT + 1)
+        # values a cast to int64 would wrap, and the one whose abs() wraps
+        with pytest.raises(ValueError, match="2\\*\\*44"):
+            CgTable(Scenario(1, 1), d=np.array([[2**64 - 1]], dtype=np.uint64), c=[0], e=[0], bound=0)
+        with pytest.raises(ValueError, match="2\\*\\*44"):
+            CgTable(Scenario(1, 1), d=[[0]], c=[np.iinfo(np.int64).min], e=[0], bound=0)
+        with pytest.raises(ValueError, match="2\\*\\*44"):
+            CgTable(Scenario(1, 1), d=[[np.inf]], c=[0], e=[0], bound=0)
+
+    def test_largest_coefficients_stay_exact(self):
+        n = 8
+        t = CgTable(
+            Scenario(n, n),
+            d=np.full((n, n), MAX_COEFFICIENT),
+            c=np.full(n, MAX_COEFFICIENT),
+            e=np.full(n, MAX_COEFFICIENT),
+            bound=MAX_COEFFICIENT,
+        )
+        assert local_bound(t) == (n * n + 2 * n) * MAX_COEFFICIENT
 
     def test_name_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +185,11 @@ class TestParse:
     def test_non_integer_coefficient(self):
         with pytest.raises(ParseError, match="non-integer"):
             parse_file(CHSH_BLOCK.replace("d 1 1", "d 1 0.5"))
+
+    def test_huge_coefficient(self):
+        with pytest.raises(ParseError, match="2\\*\\*44") as err:
+            parse_file(CHSH_BLOCK.replace("d 1 1", "d 1 12345678901234567890123"))
+        assert err.value.lineno == 6
 
     def test_missing_end(self):
         with pytest.raises(ParseError):
