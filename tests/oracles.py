@@ -5,10 +5,12 @@ come from explicit 4x4 density-matrix algebra, bounds from brute-force
 enumeration over behaviors, thresholds from bisection, ranks from floating
 point SVD.  Facet checks and no-click values are the earlier per-vertex and
 per-assignment Fraction formulas, kept here as references for the integer
-kernels that replaced them.
+kernels that replaced them, and canonical forms and correlator forms come
+from the earlier scans over the relabeling orbit.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -235,3 +237,90 @@ def random_behavior(scenario, rng: np.random.Generator) -> Behavior:
         ma += w * alpha
         mb += w * beta
     return Behavior(scenario, joint, ma, mb)
+
+
+def canonical_form_scan(table: CgTable) -> CgTable:
+    """Lexicographically minimal (bound, c, e, d row-major) over the orbit,
+    by a plain scan of flips x swap x permutations (294,912 at 4x4), after
+    dividing out the gcd of all coefficients and the bound."""
+    g = 0
+    for v in (*table.d.ravel().tolist(), *table.c.tolist(), *table.e.tolist(), table.bound):
+        g = math.gcd(g, abs(int(v)))
+    t = table
+    if g > 1:
+        t = CgTable(table.scenario, table.d // g, table.c // g, table.e // g, table.bound // g)
+    na, nb = t.scenario.na, t.scenario.nb
+    swaps = (False, True) if na == nb else (False,)
+    best = None
+
+    for flip_a in itertools.product((0, 1), repeat=na):
+        for flip_b in itertools.product((0, 1), repeat=nb):
+            d = t.d.copy()
+            c = t.c.copy()
+            e = t.e.copy()
+            bound = t.bound
+            for x in range(na):
+                if flip_a[x]:
+                    e = e + d[x, :]
+                    d[x, :] = -d[x, :]
+                    bound -= int(c[x])
+                    c[x] = -c[x]
+            for y in range(nb):
+                if flip_b[y]:
+                    c = c + d[:, y]
+                    d[:, y] = -d[:, y]
+                    bound -= int(e[y])
+                    e[y] = -e[y]
+            if best is not None and bound > best[0]:
+                continue
+            for swap in swaps:
+                if swap:
+                    dl, cl, el = d.T.tolist(), e.tolist(), c.tolist()
+                else:
+                    dl, cl, el = d.tolist(), c.tolist(), e.tolist()
+                for perm_a in itertools.permutations(range(len(cl))):
+                    cp = tuple(cl[p] for p in perm_a)
+                    if best is not None and (bound, cp) > best[:2]:
+                        continue
+                    rows = [dl[p] for p in perm_a]
+                    for perm_b in itertools.permutations(range(len(el))):
+                        ep = tuple(el[q] for q in perm_b)
+                        dp = tuple(tuple(row[q] for q in perm_b) for row in rows)
+                        key = (bound, cp, ep, dp)
+                        if best is None or key < best:
+                            best = key
+    bound, cp, ep, dp = best
+    return CgTable(t.scenario, [list(row) for row in dp], list(cp), list(ep), bound, None)
+
+
+def correlation_form_search(table: CgTable):
+    """(g, constant, relabeling) of the first outcome-flip and party-swap
+    relabeling whose table satisfies the correlator condition, else None."""
+    from cgbell import Relabeling, apply_relabeling
+
+    na, nb = table.scenario.na, table.scenario.nb
+    swaps = (False, True) if na == nb else (False,)
+    for swap in swaps:
+        for flip_a in itertools.product((0, 1), repeat=na):
+            for flip_b in itertools.product((0, 1), repeat=nb):
+                r = Relabeling(
+                    tuple(range(na)), tuple(range(nb)), flip_a, flip_b, swap
+                )
+                cand = apply_relabeling(table, r)
+                row_ok = all(
+                    2 * int(cand.c[x]) == -int(cand.d[x, :].sum())
+                    for x in range(cand.scenario.na)
+                )
+                if not row_ok:
+                    continue
+                col_ok = all(
+                    2 * int(cand.e[y]) == -int(cand.d[:, y].sum())
+                    for y in range(cand.scenario.nb)
+                )
+                if not col_ok:
+                    continue
+                g = tuple(
+                    tuple(Fraction(int(v), 4) for v in row) for row in cand.d.tolist()
+                )
+                return g, Fraction(int(cand.d.sum()), 4), r
+    return None

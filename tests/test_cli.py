@@ -34,6 +34,23 @@ def test_canon_beyond_the_cap_after_relabeling(tmp_path, capsys):
     assert "cannot canonicalise" in capsys.readouterr().err
 
 
+def test_analyze_near_the_cap(tmp_path, capsys):
+    # the same table: the correlator check builds no relabeled table, so
+    # its row is analysed
+    m = 2**44
+    path = tmp_path / "near_cap.txt"
+    path.write_text(
+        f"inequality NEAR\nscenario 2 2\nbound 0\nc -{m} 3\ne -{m} 0\n"
+        f"d {m} {m - 1}\n  {m} -{m}\nend\n",
+        encoding="utf-8",
+    )
+    assert main(["analyze", "--input", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("1,NEAR,2x2,")
+
+
 def test_compare_non_numeric_cell_is_an_input_error(tmp_path, capsys):
     reference = open(reference_csv_path(), encoding="utf-8").read()
     lines = reference.splitlines()

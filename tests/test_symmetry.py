@@ -171,6 +171,43 @@ class TestCanonicalForm:
     def test_drops_name(self, chsh_table):
         assert canonical_form(chsh_table).name is None
 
+    @pytest.mark.parametrize(
+        "na,nb,count",
+        [(1, 1, 20), (1, 2, 30), (2, 1, 30), (2, 2, 60), (2, 3, 60), (3, 2, 60),
+         (3, 3, 60), (1, 4, 30), (4, 2, 30), (3, 4, 20), (4, 4, 20)],
+    )
+    def test_matches_orbit_scan(self, na, nb, count):
+        # coefficients in {-1, 0, 1} leave many ties in c, e and the bound
+        rng = np.random.default_rng([na, nb])
+        for _ in range(count):
+            t = random_table(rng, na, nb, -1, 1)
+            t = CgTable(t.scenario, t.d, t.c, t.e, int(rng.integers(-3, 4)))
+            assert canonical_form(t) == oracles.canonical_form_scan(t)
+
+    def test_relabeled_lifts_match_orbit_scan(self, fixtures, rng):
+        for t in fixtures:
+            lifted = embed(t, Scenario(4, 4), range(t.scenario.na), range(t.scenario.nb))
+            for _ in range(2):
+                relabeled = apply_relabeling(lifted, random_relabeling(lifted.scenario, rng))
+                assert canonical_form(relabeled) == oracles.canonical_form_scan(relabeled)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_constant_on_orbit_beyond_the_scan(self, n, rng):
+        for _ in range(5):
+            t = random_table(rng, n, n, -1, 1)
+            canon = canonical_form(t)
+            for _ in range(3):
+                r = random_relabeling(t.scenario, rng)
+                assert canonical_form(apply_relabeling(t, r)) == canon
+
+    def test_constant_on_orbit_at_8x8(self, i3322_table, rng):
+        lifted = embed(i3322_table, Scenario(8, 8), (1, 4, 6), (0, 5, 7))
+        canon = canonical_form(lifted)
+        assert canon == canonical_form(embed(i3322_table, Scenario(8, 8), (0, 1, 2), (0, 1, 2)))
+        for _ in range(3):
+            r = random_relabeling(lifted.scenario, rng)
+            assert canonical_form(apply_relabeling(lifted, r)) == canon
+
 
 class TestCorrelationForm:
     def test_chsh(self, chsh_table):
@@ -179,10 +216,9 @@ class TestCorrelationForm:
         quarter = Fraction(1, 4)
         assert form.g == ((quarter, quarter), (quarter, -quarter))
         assert form.constant == Fraction(1, 2)
-        # E-form local bound: 4 * (relabeled bound + constant) gives the
-        # familiar E00+E01+E10-E11 <= 2
-        relabeled = apply_relabeling(chsh_table, form.relabeling_used)
-        assert 4 * (relabeled.bound + form.constant) == 2
+        # E-form local bound: 4 * (bound + constant) gives the familiar
+        # E00+E01+E10-E11 <= 2
+        assert 4 * (chsh_table.bound + form.constant) == 2
 
     def test_i3322_has_none(self, i3322_table):
         assert correlation_form(i3322_table) is None
@@ -200,21 +236,37 @@ class TestCorrelationForm:
                 assert (correlation_form(apply_relabeling(t, r)) is not None) is expected
 
     def test_reconstruction_identity(self, chsh_table, rng):
-        # rebuilding a CG table from (g, constant) gives the relabeled
+        # rebuilding a CG table from (g, constant) gives the table's
         # functional shifted by the constant on every behavior
         form = correlation_form(chsh_table)
-        relabeled = apply_relabeling(chsh_table, form.relabeling_used)
         g = np.array([[float(v) for v in row] for row in form.g])
         rebuilt = CgTable(
-            relabeled.scenario,
+            chsh_table.scenario,
             (4 * g).astype(int),
             (-2 * g.sum(axis=1)).astype(int),
             (-2 * g.sum(axis=0)).astype(int),
-            relabeled.bound,
+            chsh_table.bound,
         )
-        assert rebuilt == relabeled.with_name(None)
+        assert rebuilt == chsh_table.with_name(None)
         for _ in range(5):
-            b = oracles.random_behavior(relabeled.scenario, rng)
+            b = oracles.random_behavior(chsh_table.scenario, rng)
             correlators = 4 * b.joint - 2 * b.marg_a[:, None] - 2 * b.marg_b[None, :] + 1
             e_value = float(np.sum(g * correlators)) - float(form.constant)
-            assert abs(e_value - evaluate(relabeled, b)) < 1e-12
+            assert abs(e_value - evaluate(chsh_table, b)) < 1e-12
+
+    @pytest.mark.parametrize("na,nb", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4)])
+    def test_matches_flip_search(self, na, nb, rng):
+        # random tables mostly have no correlator form; tables built from a
+        # random correlator matrix g, then relabeled, always have one
+        for _ in range(15):
+            t = random_table(rng, na, nb, -1, 1)
+            g = rng.integers(-2, 3, size=(na, nb))
+            built = CgTable(t.scenario, 4 * g, -2 * g.sum(axis=1), -2 * g.sum(axis=0), 0)
+            built = apply_relabeling(built, random_relabeling(built.scenario, rng))
+            for table in (t, built):
+                form, found = correlation_form(table), oracles.correlation_form_search(table)
+                assert (form is None) is (found is None)
+                if found is not None:
+                    assert (form.g, form.constant) == found[:2]
+                    assert found[2] == Relabeling.identity(table.scenario)
+            assert correlation_form(built) is not None
