@@ -3,7 +3,8 @@
 One report row per inequality: local bound L, white-noise value N, quantum
 bound Q with its Schmidt angle, visibility thresholds for the optimal and
 the maximally entangled state, symmetric detection efficiency, facet flag,
-correlation-form flag and lifting origin.
+correlation-form flag and lifting origin.  Whether both see-saws converged
+is kept on the report but not rendered.
 
 Reports are rendered deterministically (6 decimal places, round-half-even),
 so identical inputs, seed, restarts and tolerance give byte-identical CSV.
@@ -79,6 +80,7 @@ class AnalysisReport:
     is_facet: bool
     has_correlation_form: bool
     lifted_from: Optional[str]
+    converged: bool  # both see-saws (free theta and pi/4) met their tolerance
 
     def validate(self) -> None:
         finite = [self.quantum, self.theta_over_pi, self.lam, self.lam_me, self.eta_sym]
@@ -136,6 +138,7 @@ def analyze_table(
         is_facet=facet.is_facet,
         has_correlation_form=corr is not None,
         lifted_from=str(lift.reduced.scenario) if lift else None,
+        converged=free.converged and fixed.converged,
     )
     report.validate()
     return report

@@ -6,12 +6,15 @@ Subcommands:
     canon     canonical forms, duplicate groups and lifting flags
     fixtures  print the bundled inequalities in the file format
 
-Exit codes: 0 success, 1 tolerance/diff or per-row failure, 2 input error.
+Exit codes: 0 success, 1 tolerance/diff or per-row failure, 2 input error
+(a bad option value included).  `analyze` warns on standard error about each
+row whose see-saw stopped at its sweep limit; the exit code ignores it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +34,20 @@ from .model import ParseError, parse_file, serialize_file
 
 class InputError(Exception):
     pass
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _read_tables(path: str):
@@ -58,6 +75,13 @@ def _cmd_analyze(args) -> int:
     )
     render = {"csv": to_csv, "json": to_json, "md": to_markdown}[args.output]
     sys.stdout.write(render(reports))
+    for r in reports:
+        if not r.converged:
+            print(
+                f"warning: row {r.index} ({r.name or 'unnamed'}): "
+                "see-saw stopped at its sweep limit before converging",
+                file=sys.stderr,
+            )
     for f in failures:
         print(f"row {f.index} ({f.name or 'unnamed'}) failed: {f.message}", file=sys.stderr)
     return 1 if failures else 0
@@ -124,10 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis of an inequality file")
     p.add_argument("--input", required=True, help="inequality file")
     p.add_argument("--output", choices=("csv", "json", "md"), default="csv")
-    p.add_argument("--restarts", type=int, default=50, help="see-saw restarts per optimization")
+    p.add_argument(
+        "--restarts", type=_positive_int, default=50, help="see-saw restarts per optimization"
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10, help="see-saw convergence tolerance")
-    p.add_argument("--workers", type=int, default=1, help="parallel per-inequality workers")
+    p.add_argument(
+        "--tol", type=_positive_float, default=1e-10, help="see-saw convergence tolerance"
+    )
+    p.add_argument(
+        "--workers", type=_positive_int, default=1, help="parallel per-inequality workers"
+    )
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="diff a report against a reference CSV")

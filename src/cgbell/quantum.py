@@ -12,8 +12,10 @@ vector v, which gives the closed form
 The Bell functional is linear in each measurement vector separately and a
 shifted cosine in theta, so see-saw sweeps (all of Alice, all of Bob, then
 theta) are exact block maximizations and the value never decreases.
-quantum_bound steps all restarts in lockstep through vectorized sweeps;
-each restart's trajectory is identical to running seesaw_step on it alone.
+One batched sweep steps all restarts in lockstep: quantum_bound runs it
+on every restart at once and seesaw_step on a batch of one, so each
+restart follows the same kernel either way (not always to the last bit,
+as BLAS picks its kernels by batch size).
 """
 
 from __future__ import annotations
@@ -79,24 +81,40 @@ class QuantumBoundResult:
     converged: bool
 
 
+def _born(theta: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """p(00|xy), pA(0|x) and pB(0|y) for every restart at once.
+
+    theta is (R,), a is (R, na, 3), b is (R, nb, 3); the results are
+    (R, na, nb), (R, na) and (R, nb).
+    """
+    ct = np.cos(2 * theta)[:, None]
+    st = np.sin(2 * theta)[:, None, None]
+    az, bz = a[:, :, 2], b[:, :, 2]
+    joint = (
+        1.0
+        + ct[:, :, None] * (az[:, :, None] + bz[:, None, :])
+        + az[:, :, None] * bz[:, None, :]
+        + st * (a[:, :, 0, None] * b[:, None, :, 0] - a[:, :, 1, None] * b[:, None, :, 1])
+    ) / 4
+    return joint, (1 + ct * az) / 2, (1 + ct * bz) / 2
+
+
 def born_probability(theta: float, a, b) -> float:
     """p(00) for measurement vectors a, b on |psi(theta)>."""
-    a = _as_unit(a, "a")
-    b = _as_unit(b, "b")
-    ct, st = math.cos(2 * theta), math.sin(2 * theta)
-    return (1 + ct * (a[2] + b[2]) + a[2] * b[2] + st * (a[0] * b[0] - a[1] * b[1])) / 4
+    a = _as_unit(a, "a")[None, None]
+    b = _as_unit(b, "b")[None, None]
+    return float(_born(np.array([theta]), a, b)[0][0, 0, 0])
 
 
 def born_marginal_a(theta: float, a) -> float:
     """pA(0) for measurement vector a on |psi(theta)>."""
-    a = _as_unit(a, "a")
-    return (1 + math.cos(2 * theta) * a[2]) / 2
+    a = _as_unit(a, "a")[None, None]
+    return float(_born(np.array([theta]), a, a)[1][0, 0])
 
 
 def born_marginal_b(theta: float, b) -> float:
     """pB(0); the reduced states of both qubits coincide."""
-    b = _as_unit(b, "b")
-    return (1 + math.cos(2 * theta) * b[2]) / 2
+    return born_marginal_a(theta, _as_unit(b, "b"))
 
 
 def strategy_behavior(scenario: Scenario, s: QuantumStrategy) -> Behavior:
@@ -106,78 +124,13 @@ def strategy_behavior(scenario: Scenario, s: QuantumStrategy) -> Behavior:
             f"strategy has {s.a_vecs.shape[0]}x{s.b_vecs.shape[0]} settings, "
             f"scenario is {scenario}"
         )
-    ct, st = math.cos(2 * s.theta), math.sin(2 * s.theta)
-    ax, ay, az = s.a_vecs.T
-    bx, by, bz = s.b_vecs.T
-    joint = (
-        1
-        + ct * (az[:, None] + bz[None, :])
-        + az[:, None] * bz[None, :]
-        + st * (ax[:, None] * bx[None, :] - ay[:, None] * by[None, :])
-    ) / 4
-    return Behavior(scenario, joint, (1 + ct * az) / 2, (1 + ct * bz) / 2)
+    joint, pa, pb = _born(np.array([s.theta]), s.a_vecs[None], s.b_vecs[None])
+    return Behavior(scenario, joint[0], pa[0], pb[0])
 
 
 def quantum_value(table: CgTable, s: QuantumStrategy) -> float:
     """Value of the Bell functional on the behavior of a strategy."""
     return evaluate(table, strategy_behavior(table.scenario, s))
-
-
-def alice_coefficients(table: CgTable, s: QuantumStrategy) -> np.ndarray:
-    """Gradient of the functional in each Alice vector; shape (na, 3).
-
-    The objective is r[x] . a_vecs[x] + const for fixed theta and Bob, so
-    the exact block maximizer is r[x]/|r[x]|.
-    """
-    ct, st = math.cos(2 * s.theta), math.sin(2 * s.theta)
-    bx, by, bz = s.b_vecs.T
-    d = table.d
-    r = np.empty((table.scenario.na, 3))
-    r[:, 0] = st * (d @ bx) / 4
-    r[:, 1] = -st * (d @ by) / 4
-    r[:, 2] = (ct * (d.sum(axis=1) + 2 * table.c) + d @ bz) / 4
-    return r
-
-
-def bob_coefficients(table: CgTable, s: QuantumStrategy) -> np.ndarray:
-    """Gradient of the functional in each Bob vector; shape (nb, 3)."""
-    ct, st = math.cos(2 * s.theta), math.sin(2 * s.theta)
-    ax, ay, az = s.a_vecs.T
-    dt = table.d.T
-    r = np.empty((table.scenario.nb, 3))
-    r[:, 0] = st * (dt @ ax) / 4
-    r[:, 1] = -st * (dt @ ay) / 4
-    r[:, 2] = (ct * (dt.sum(axis=1) + 2 * table.e) + dt @ az) / 4
-    return r
-
-
-def _normalize_rows(vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    norms = np.linalg.norm(coeffs, axis=1)
-    active = norms > 0  # zero gradient keeps the previous direction
-    out[active] = coeffs[active] / norms[active, None]
-    return out
-
-
-def _theta_coefficients(table: CgTable, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    # objective = K0 + K1 cos(2t) + K2 sin(2t)
-    az, bz = a[:, 2], b[:, 2]
-    d = table.d
-    k1 = float(
-        (d.sum(axis=1) @ az + d.sum(axis=0) @ bz) / 4
-        + table.c @ az / 2
-        + table.e @ bz / 2
-    )
-    k2 = float(a[:, 0] @ d @ b[:, 0] - a[:, 1] @ d @ b[:, 1]) / 4
-    return k1, k2
-
-
-def _best_theta(k1: float, k2: float) -> float:
-    candidates = [0.0, QUARTER_PI]
-    phi = math.atan2(k2, k1)
-    if 0.0 < phi < math.pi / 2:
-        candidates.append(phi / 2)
-    return max(candidates, key=lambda t: k1 * math.cos(2 * t) + k2 * math.sin(2 * t))
 
 
 def seesaw_step(
@@ -186,15 +139,13 @@ def seesaw_step(
     """One full sweep: all Alice vectors, all Bob vectors, then theta.
 
     Each stage is an exact maximization of its block, so the value of the
-    returned strategy never falls below the input's.
+    returned strategy never falls below the input's.  This is quantum_bound's
+    batched sweep run on a batch of one.
     """
-    a = _normalize_rows(s.a_vecs, alice_coefficients(table, s))
-    s = QuantumStrategy(s.theta, a, s.b_vecs)
-    b = _normalize_rows(s.b_vecs, bob_coefficients(table, s))
-    theta = s.theta
-    if update_theta:
-        theta = _best_theta(*_theta_coefficients(table, a, b))
-    return QuantumStrategy(theta, a, b)
+    a, b, theta = _batch_sweep(
+        *_functional(table), s.a_vecs[None], s.b_vecs[None], np.array([s.theta]), update_theta
+    )
+    return QuantumStrategy(theta[0], a[0], b[0])
 
 
 def relabel_strategy(s: QuantumStrategy, r: "Relabeling") -> QuantumStrategy:
@@ -218,33 +169,48 @@ def relabel_strategy(s: QuantumStrategy, r: "Relabeling") -> QuantumStrategy:
 # --- vectorized multi-restart kernel -----------------------------------------
 
 
-def _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta):
-    """One see-saw sweep applied to every restart at once.
+def _functional(table: CgTable):
+    """(d, c, e, row sums of d, column sums of d) as floats."""
+    d = table.d.astype(float)
+    return d, table.c.astype(float), table.e.astype(float), d.sum(axis=1), d.sum(axis=0)
 
-    a is (R, na, 3), b is (R, nb, 3), theta is (R,).  Mirrors seesaw_step
-    exactly, one row per restart.
+
+def _block_coefficients(d, dsum, m, other, ct, st):
+    """Gradient of the functional in each of one party's vectors, every restart.
+
+    For Alice d is the table's d, dsum its row sums, m = c and other Bob's
+    (R, nb, 3) vectors; for Bob the same with d.T, the column sums, e and
+    Alice's vectors.  ct and st are cos(2 theta) and sin(2 theta), (R, 1).
+    The objective is r[x] . v[x] + const for fixed theta and the other
+    party, so the exact block maximizer is r[x]/|r[x]|.
+    """
+    r = np.empty((other.shape[0], d.shape[0], 3))
+    r[:, :, 0] = st * (other[:, :, 0] @ d.T) / 4
+    r[:, :, 1] = -st * (other[:, :, 1] @ d.T) / 4
+    r[:, :, 2] = (ct * (dsum + 2 * m) + other[:, :, 2] @ d.T) / 4
+    return r
+
+
+def _ascend(vecs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The block maximizer r/|r|, row by row."""
+    norms = np.linalg.norm(r, axis=2)
+    # a vector with zero gradient keeps its old direction
+    return np.divide(r, norms[:, :, None], out=vecs.copy(), where=(norms > 0)[:, :, None])
+
+
+def _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta):
+    """One see-saw sweep (all of Alice, all of Bob, then theta) applied to
+    every restart at once.
+
+    a is (R, na, 3), b is (R, nb, 3), theta is (R,).
     """
     ct = np.cos(2 * theta)[:, None]
     st = np.sin(2 * theta)[:, None]
-
-    ra = np.empty_like(a)
-    ra[:, :, 0] = st * (b[:, :, 0] @ d.T) / 4
-    ra[:, :, 1] = -st * (b[:, :, 1] @ d.T) / 4
-    ra[:, :, 2] = (ct * (drow + 2 * c) + b[:, :, 2] @ d.T) / 4
-    norms = np.linalg.norm(ra, axis=2)
-    keep = norms > 0
-    # a vector with zero gradient keeps its old direction
-    a = np.divide(ra, norms[:, :, None], out=a.copy(), where=keep[:, :, None])
-
-    rb = np.empty_like(b)
-    rb[:, :, 0] = st * (a[:, :, 0] @ d) / 4
-    rb[:, :, 1] = -st * (a[:, :, 1] @ d) / 4
-    rb[:, :, 2] = (ct * (dcol + 2 * e) + a[:, :, 2] @ d) / 4
-    norms = np.linalg.norm(rb, axis=2)
-    keep = norms > 0
-    b = np.divide(rb, norms[:, :, None], out=b.copy(), where=keep[:, :, None])
+    a = _ascend(a, _block_coefficients(d, drow, c, b, ct, st))
+    b = _ascend(b, _block_coefficients(d.T, dcol, e, a, ct, st))
 
     if update_theta:
+        # objective = K0 + k1 cos(2t) + k2 sin(2t), maximized over [0, pi/4]
         az, bz = a[:, :, 2], b[:, :, 2]
         k1 = (az @ drow + bz @ dcol) / 4 + az @ c / 2 + bz @ e / 2
         k2 = (np.sum((a[:, :, 0] @ d) * b[:, :, 0], axis=1)
@@ -261,27 +227,14 @@ def _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta):
             np.full_like(theta, QUARTER_PI),
             np.where(interior, phi / 2, 0.0),
         ])
-        pick = np.argmax(cand_vals, axis=0)  # first max wins, as in _best_theta
+        pick = np.argmax(cand_vals, axis=0)  # first max wins: 0, then pi/4
         theta = cand_theta[pick, np.arange(theta.size)]
     return a, b, theta
 
 
 def _batch_values(d, c, e, a, b, theta):
-    ct = np.cos(2 * theta)[:, None]
-    st = np.sin(2 * theta)
-    az, bz = a[:, :, 2], b[:, :, 2]
-    joint = (
-        1.0
-        + ct[:, :, None] * (az[:, :, None] + bz[:, None, :])
-        + az[:, :, None] * bz[:, None, :]
-        + st[:, None, None] * (a[:, :, 0][:, :, None] * b[:, :, 0][:, None, :]
-                               - a[:, :, 1][:, :, None] * b[:, :, 1][:, None, :])
-    ) / 4
-    return (
-        np.einsum("rxy,xy->r", joint, d)
-        + (1 + ct * az) @ c / 2
-        + (1 + ct * bz) @ e / 2
-    )
+    joint, pa, pb = _born(theta, a, b)
+    return np.einsum("rxy,xy->r", joint, d) + pa @ c + pb @ e
 
 
 def _random_units(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -312,6 +265,8 @@ def quantum_bound(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     if fix_theta is not None and not 0.0 <= fix_theta <= QUARTER_PI + _UNIT_TOL:
         raise ValueError("fix_theta must lie in [0, pi/4]")
     rng = np.random.default_rng(seed)
@@ -325,11 +280,7 @@ def quantum_bound(
     else:
         theta = np.full(restarts, float(fix_theta))
 
-    d = table.d.astype(float)
-    c = table.c.astype(float)
-    e = table.e.astype(float)
-    drow, dcol = d.sum(axis=1), d.sum(axis=0)
-
+    d, c, e, drow, dcol = _functional(table)
     values = _batch_values(d, c, e, a, b, theta)
     active = np.ones(restarts, dtype=bool)
     out_a, out_b = a.copy(), b.copy()

@@ -44,6 +44,7 @@ def fixture_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def fixture_report(fixture_file):
     code, report, err = cli("analyze", "--input", str(fixture_file))
+    # no row failure, and no warning of a see-saw stopped at its sweep limit
     assert (code, err) == (0, "")
     return report
 

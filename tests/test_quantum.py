@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,12 +24,14 @@ from cgbell import (
 )
 from cgbell.quantum import (
     QUARTER_PI,
-    alice_coefficients,
-    bob_coefficients,
+    _batch_sweep,
+    _block_coefficients,
+    _functional,
     relabel_strategy,
 )
 
 import oracles
+from test_localpoly import random_table
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -39,6 +42,16 @@ CHSH_OPTIMAL = dict(
     a_vecs=np.array([Z, X]),
     b_vecs=np.array([[S2, 0, S2], [-S2, 0, S2]]),
 )
+
+
+def block_coefficients(table, s, party):
+    """The see-saw gradient in one party's vectors, from the kernel on a batch of one."""
+    d, c, e, drow, dcol = _functional(table)
+    ct = np.array([[math.cos(2 * s.theta)]])
+    st = np.array([[math.sin(2 * s.theta)]])
+    if party == "a":
+        return _block_coefficients(d, drow, c, s.b_vecs[None], ct, st)[0]
+    return _block_coefficients(d.T, dcol, e, s.a_vecs[None], ct, st)[0]
 
 
 def random_strategy(rng, na, nb, theta=None):
@@ -154,14 +167,37 @@ class TestQuantumValue:
 
 class TestSeesaw:
     def test_monotone_from_random_starts(self, fixtures, rng):
+        # with update_theta off the angle must also stay where it started
         for t in fixtures:
-            s = random_strategy(rng, t.scenario.na, t.scenario.nb)
-            value = quantum_value(t, s)
-            for _ in range(100):
-                s = seesaw_step(t, s)
-                new = quantum_value(t, s)
-                assert new >= value - 1e-12
-                value = new
+            for update_theta in (True, False):
+                s = random_strategy(rng, t.scenario.na, t.scenario.nb)
+                theta = s.theta
+                value = quantum_value(t, s)
+                for _ in range(100):
+                    s = seesaw_step(t, s, update_theta=update_theta)
+                    new = quantum_value(t, s)
+                    assert new >= value - 1e-12
+                    value = new
+                    assert update_theta or s.theta == theta
+
+    def test_batch_of_one_follows_the_batch(self, fixtures, rng):
+        # the same kernel, though BLAS may pick different routines by batch
+        # size, so the floats may part in the last bits
+        restarts, sweeps = 50, 30
+        for t in fixtures:
+            na, nb = t.scenario.na, t.scenario.nb
+            starts = [random_strategy(rng, na, nb) for _ in range(restarts)]
+            a = np.array([s.a_vecs for s in starts])
+            b = np.array([s.b_vecs for s in starts])
+            theta = np.array([s.theta for s in starts])
+            for _ in range(sweeps):
+                a, b, theta = _batch_sweep(*_functional(t), a, b, theta, True)
+            for r, s in enumerate(starts):
+                for _ in range(sweeps):
+                    s = seesaw_step(t, s)
+                assert abs(s.theta - theta[r]) <= 1e-12
+                np.testing.assert_allclose(s.a_vecs, a[r], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s.b_vecs, b[r], rtol=0, atol=1e-12)
 
     def test_fixed_point_at_optimum(self, chsh_table):
         s = QuantumStrategy(**CHSH_OPTIMAL)
@@ -175,21 +211,23 @@ class TestSeesaw:
         assert seesaw_step(chsh_table, s).theta == pytest.approx(QUARTER_PI)
 
     def test_gradient_against_finite_differences(self, fixtures, rng):
-        for t in fixtures[:3]:
+        for t, party in itertools.product(fixtures[:3], "ab"):
             s = random_strategy(rng, t.scenario.na, t.scenario.nb)
-            coeffs = alice_coefficients(t, s)
-            for x in range(t.scenario.na):
-                base = s.a_vecs[x]
+            coeffs = block_coefficients(t, s, party)
+            vecs = s.a_vecs if party == "a" else s.b_vecs
+            for x in range(len(vecs)):
+                base = vecs[x]
                 tangent = np.cross(base, rng.normal(size=3))
                 tangent /= np.linalg.norm(tangent)
                 eps = 1e-6
 
                 def value_at(step):
-                    moved = base + step * tangent
-                    moved = moved / np.linalg.norm(moved)
-                    vecs = np.array(s.a_vecs)
-                    vecs[x] = moved
-                    return quantum_value(t, QuantumStrategy(s.theta, vecs, s.b_vecs))
+                    moved = np.array(vecs)
+                    moved[x] = base + step * tangent
+                    moved[x] /= np.linalg.norm(moved[x])
+                    if party == "a":
+                        return quantum_value(t, QuantumStrategy(s.theta, moved, s.b_vecs))
+                    return quantum_value(t, QuantumStrategy(s.theta, s.a_vecs, moved))
 
                 numeric = (value_at(eps) - value_at(-eps)) / (2 * eps)
                 analytic = float(coeffs[x] @ tangent)
@@ -207,8 +245,8 @@ class TestSeesaw:
             ),
         )
         np.testing.assert_allclose(
-            bob_coefficients(chsh_table, s),
-            alice_coefficients(transposed, swapped),
+            block_coefficients(chsh_table, s, "b"),
+            block_coefficients(transposed, swapped, "a"),
             atol=1e-12,
         )
 
@@ -254,6 +292,9 @@ class TestQuantumBound:
             quantum_bound(chsh_table, restarts=0)
         with pytest.raises(ValueError):
             quantum_bound(chsh_table, fix_theta=1.0)
+        for tol in (0.0, -1e-10, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                quantum_bound(chsh_table, tol=tol)
 
 
 class TestRelabelStrategy:
@@ -261,8 +302,6 @@ class TestRelabelStrategy:
     @settings(max_examples=30, deadline=None)
     def test_value_covariance(self, seed):
         rng = np.random.default_rng(seed)
-        from test_localpoly import random_table
-
         t = random_table(rng, 2, 2)
         r = random_relabeling(t.scenario, rng)
         s = random_strategy(rng, 2, 2)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cgbell import (
     CgTable,
+    InconsistencyError,
     NoClickAssignment,
     Scenario,
     chsh,
@@ -15,8 +17,10 @@ from cgbell import (
     i3322,
     load_report_csv,
     local_bound,
+    noise_resistance,
     quantum_bound,
     reference_csv_path,
+    white_noise_value,
 )
 from cgbell import localpoly
 from cgbell.analysis import DEFAULT_TOLERANCES
@@ -57,6 +61,37 @@ def assert_matches_roots(table, q_me):
     assert got.eta == pytest.approx(eta, abs=1e-12)
     assert got.strategy == NoClickAssignment(a_out, b_out)
     assert (got.m_a, got.m_b, got.x) == values
+
+
+class TestNoiseResistance:
+    def test_reference_fixtures_against_exact_ratio(self, fixtures):
+        # the reference Q is given as Q - L, so it carries over to the
+        # fixtures' own normalisation
+        reference = load_report_csv(open(reference_csv_path(), encoding="utf-8").read())
+        for t, row in zip(fixtures, reference):
+            assert t.name == row["name"]
+            bound, noise = local_bound(t), white_noise_value(t)
+            q = bound + float(row["Q_minus_L"])
+            exact = (bound - noise) / (Fraction(q) - noise)
+            lam = noise_resistance(t, q)
+            assert lam == pytest.approx(float(exact), abs=1e-12)
+            assert lam == pytest.approx(float(row["lambda"]), abs=DEFAULT_TOLERANCES["lambda"])
+
+    def test_chsh_at_tsirelson(self, chsh_table):
+        assert noise_resistance(chsh_table, CHSH_Q_ME) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+    def test_no_violation_gives_one(self, fixtures):
+        for t in fixtures:
+            bound, noise = local_bound(t), float(white_noise_value(t))
+            for q in (bound, bound + 1e-10, (bound + noise) / 2, noise):
+                assert noise_resistance(t, q) == 1.0
+
+    def test_below_white_noise_is_inconsistent(self, fixtures):
+        for t in fixtures:
+            noise = float(white_noise_value(t))
+            assert noise_resistance(t, noise - 0.5e-9) == 1.0
+            with pytest.raises(InconsistencyError):
+                noise_resistance(t, noise - 2e-9)
 
 
 class TestThresholdRoots:
