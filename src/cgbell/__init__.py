@@ -21,11 +21,9 @@ from .analysis import (
 )
 from .fixtures import all_fixtures, chsh, i3322, i3422_1, i3422_2, i3422_3
 from .localpoly import (
-    DeterministicStrategy,
     FacetReport,
     Lifting,
     detect_lifting,
-    enumerate_strategies,
     exact_rank,
     facet_check,
     local_bound,
@@ -44,9 +42,6 @@ from .model import (
 from .quantum import (
     QuantumBoundResult,
     QuantumStrategy,
-    born_marginal_a,
-    born_marginal_b,
-    born_probability,
     quantum_bound,
     quantum_value,
     seesaw_step,
@@ -66,7 +61,6 @@ from .symmetry import (
     canonical_form,
     correlation_form,
     random_relabeling,
-    relabelings,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +73,6 @@ __all__ = [
     "CompareResult",
     "CorrelatorForm",
     "DetectionAnalysis",
-    "DeterministicStrategy",
     "FacetReport",
     "InconsistencyError",
     "Lifting",
@@ -94,16 +87,12 @@ __all__ = [
     "analyze_table",
     "analyze_tables",
     "apply_relabeling",
-    "born_marginal_a",
-    "born_marginal_b",
-    "born_probability",
     "canonical_form",
     "chsh",
     "compare_reports",
     "correlation_form",
     "detect_lifting",
     "detection_threshold",
-    "enumerate_strategies",
     "evaluate",
     "exact_rank",
     "facet_check",
@@ -120,7 +109,6 @@ __all__ = [
     "quantum_value",
     "random_relabeling",
     "reference_csv_path",
-    "relabelings",
     "seesaw_step",
     "serialize_file",
     "strategy_behavior",

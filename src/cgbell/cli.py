@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    DEFAULT_TOLERANCES,
     analyze_tables,
     compare_reports,
     group_equivalent,
@@ -43,10 +44,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -90,13 +105,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_compare(args) -> int:
     rows = _read_csv(args.input)
     reference = _read_csv(args.reference)
-    tolerances = None
-    if args.tol is not None:
-        tolerances = {
-            col: args.tol
-            for col in ("L", "N", "Q", "L_minus_N", "Q_minus_L",
-                        "theta_over_pi", "lambda", "lambda_me", "eta_sym")
-        }
+    tolerances = None if args.tol is None else dict.fromkeys(DEFAULT_TOLERANCES, args.tol)
     try:
         result = compare_reports(rows, reference, tolerances, normalized=args.normalized)
     except ValueError as exc:
@@ -151,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--restarts", type=_positive_int, default=50, help="see-saw restarts per optimization"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument(
         "--tol", type=_positive_float, default=1e-10, help="see-saw convergence tolerance"
     )
@@ -163,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="diff a report against a reference CSV")
     p.add_argument("--input", required=True, help="report CSV")
     p.add_argument("--reference", required=True, help="reference CSV")
-    p.add_argument("--tol", type=float, default=None, help="uniform tolerance for all columns")
+    p.add_argument(
+        "--tol", type=_nonnegative_float, default=None, help="uniform tolerance for all columns"
+    )
     p.add_argument(
         "--normalized",
         action="store_true",

@@ -22,34 +22,16 @@ certified that way.  Only below that bound does exact rational elimination
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Behavior, CgTable, Scenario
+from .model import CgTable, Scenario
 
 # the largest prime below 2^31: residues multiply without leaving int64
 _PRIME = 2**31 - 1
-
-
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """One local deterministic assignment: output 0 on setting x iff alpha[x]=1."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(v in (0, 1) for v in self.alpha + self.beta):
-            raise ValueError("strategy entries must be bits")
-
-    def behavior(self, scenario: Scenario) -> Behavior:
-        if (scenario.na, scenario.nb) != (len(self.alpha), len(self.beta)):
-            raise ValueError("strategy does not match scenario")
-        return Behavior.deterministic(scenario, self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -67,15 +49,6 @@ class Lifting:
     reduced: CgTable
     dropped_a: tuple[int, ...]
     dropped_b: tuple[int, ...]
-
-
-def enumerate_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
-    """All 2^(na+nb) deterministic strategies in lexicographic (alpha, beta) order."""
-    return [
-        DeterministicStrategy(alpha, beta)
-        for alpha in itertools.product((0, 1), repeat=scenario.na)
-        for beta in itertools.product((0, 1), repeat=scenario.nb)
-    ]
 
 
 def _bit_rows(n: int) -> np.ndarray:

@@ -111,9 +111,13 @@ class CgTable:
         if abs(int(self.bound)) > MAX_COEFFICIENT:
             raise ValueError(f"bound must lie within +-2**44, got {self.bound}")
         object.__setattr__(self, "bound", int(self.bound))
-        if self.name is not None:
-            if not self.name or "#" in self.name or "\n" in self.name:
-                raise ValueError(f"invalid inequality name {self.name!r}")
+        # a name must survive serialize_file: parse_file strips it and splits
+        # lines wherever str.splitlines does, and '#' opens a comment
+        name = self.name
+        if name is not None and (
+            not name or "#" in name or name != name.strip() or name.splitlines() != [name]
+        ):
+            raise ValueError(f"invalid inequality name {name!r}")
 
     def key(self) -> tuple:
         """Total order on tables of one scenario; ignores the name."""

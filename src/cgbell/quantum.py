@@ -22,26 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .model import Behavior, CgTable, Scenario, evaluate
 
-if TYPE_CHECKING:
-    from .symmetry import Relabeling
-
 _UNIT_TOL = 1e-12
 QUARTER_PI = math.pi / 4
-
-
-def _as_unit(v, what: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{what} must be a 3-vector, got shape {arr.shape}")
-    if abs(np.linalg.norm(arr) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{what} must be a unit vector, |v| = {np.linalg.norm(arr)}")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +65,6 @@ class QuantumBoundResult:
 
     value: float
     strategy: QuantumStrategy
-    restarts_used: int
     converged: bool
 
 
@@ -97,24 +84,6 @@ def _born(theta: np.ndarray, a: np.ndarray, b: np.ndarray):
         + st * (a[:, :, 0, None] * b[:, None, :, 0] - a[:, :, 1, None] * b[:, None, :, 1])
     ) / 4
     return joint, (1 + ct * az) / 2, (1 + ct * bz) / 2
-
-
-def born_probability(theta: float, a, b) -> float:
-    """p(00) for measurement vectors a, b on |psi(theta)>."""
-    a = _as_unit(a, "a")[None, None]
-    b = _as_unit(b, "b")[None, None]
-    return float(_born(np.array([theta]), a, b)[0][0, 0, 0])
-
-
-def born_marginal_a(theta: float, a) -> float:
-    """pA(0) for measurement vector a on |psi(theta)>."""
-    a = _as_unit(a, "a")[None, None]
-    return float(_born(np.array([theta]), a, a)[1][0, 0])
-
-
-def born_marginal_b(theta: float, b) -> float:
-    """pB(0); the reduced states of both qubits coincide."""
-    return born_marginal_a(theta, _as_unit(b, "b"))
 
 
 def strategy_behavior(scenario: Scenario, s: QuantumStrategy) -> Behavior:
@@ -146,24 +115,6 @@ def seesaw_step(
         *_functional(table), s.a_vecs[None], s.b_vecs[None], np.array([s.theta]), update_theta
     )
     return QuantumStrategy(theta[0], a[0], b[0])
-
-
-def relabel_strategy(s: QuantumStrategy, r: "Relabeling") -> QuantumStrategy:
-    """Transport a strategy through a table relabeling.
-
-    An outcome flip negates the party's Bloch vector at that setting, input
-    permutations reorder the vectors, and the party swap exchanges the two
-    lists (the state is symmetric under it).  quantum_value of the
-    transported strategy on the relabeled table equals the original value
-    plus the bound shift of the relabeling.
-    """
-    a = s.a_vecs * np.where(np.asarray(r.flip_a, dtype=bool), -1.0, 1.0)[:, None]
-    b = s.b_vecs * np.where(np.asarray(r.flip_b, dtype=bool), -1.0, 1.0)[:, None]
-    a = a[list(r.perm_a)]
-    b = b[list(r.perm_b)]
-    if r.swap_parties:
-        a, b = b, a
-    return QuantumStrategy(s.theta, a, b)
 
 
 # --- vectorized multi-restart kernel -----------------------------------------
@@ -305,6 +256,4 @@ def quantum_bound(
 
     best = int(np.argmax(out_values))  # argmax takes the earliest on ties
     strategy = QuantumStrategy(float(out_theta[best]), out_a[best], out_b[best])
-    return QuantumBoundResult(
-        float(out_values[best]), strategy, restarts, bool(out_converged[best])
-    )
+    return QuantumBoundResult(float(out_values[best]), strategy, bool(out_converged[best]))

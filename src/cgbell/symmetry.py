@@ -2,8 +2,9 @@
 
 A relabeling is applied to a table as flips first, then input permutations,
 then the optional party swap.  Every group element has exactly one such
-normal form, so enumerating (flips x permutations x swap) walks the whole
-orbit of a table once.
+normal form, (flips, permutations, swap).  Nothing here walks an orbit:
+only the tests enumerate one, through these normal forms, to check the
+closed forms below against it.
 
 Flipping Alice's outcome at setting x rewrites the functional through
 p(00|xy) -> pB(0|y) - p(00|xy) and pA(0|x) -> 1 - pA(0|x), giving the
@@ -32,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,13 +56,6 @@ def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
     if not all(v in (0, 1) for v in b):
         raise ValueError(f"{what} must be a bit vector, got {b}")
     return b
-
-
-def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for slot, src in enumerate(perm):
-        inv[src] = slot
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -89,44 +83,6 @@ class Relabeling:
             raise ValueError("flip vectors must match permutation lengths")
         if self.swap_parties and len(self.perm_a) != len(self.perm_b):
             raise ScenarioMismatchError("party swap requires equal setting counts")
-
-    @staticmethod
-    def identity(scenario: Scenario) -> "Relabeling":
-        return Relabeling(
-            tuple(range(scenario.na)),
-            tuple(range(scenario.nb)),
-            (0,) * scenario.na,
-            (0,) * scenario.nb,
-            False,
-        )
-
-    def compose(self, first: "Relabeling") -> "Relabeling":
-        """Relabeling equivalent to applying ``first`` and then ``self``."""
-        pa2, pb2 = self.perm_a, self.perm_b
-        fa2, fb2 = self.flip_a, self.flip_b
-        if first.swap_parties:
-            pa2, pb2 = pb2, pa2
-            fa2, fb2 = fb2, fa2
-        inv_a, inv_b = _inverse_perm(first.perm_a), _inverse_perm(first.perm_b)
-        # push self's flips through first's permutation onto original labels
-        ha = tuple(fa2[inv_a[j]] for j in range(len(inv_a)))
-        hb = tuple(fb2[inv_b[j]] for j in range(len(inv_b)))
-        return Relabeling(
-            tuple(first.perm_a[pa2[x]] for x in range(len(pa2))),
-            tuple(first.perm_b[pb2[y]] for y in range(len(pb2))),
-            tuple(h ^ f for h, f in zip(ha, first.flip_a)),
-            tuple(h ^ f for h, f in zip(hb, first.flip_b)),
-            self.swap_parties ^ first.swap_parties,
-        )
-
-    def inverse(self) -> "Relabeling":
-        ga = tuple(self.flip_a[self.perm_a[j]] for j in range(len(self.perm_a)))
-        gb = tuple(self.flip_b[self.perm_b[j]] for j in range(len(self.perm_b)))
-        pa, pb = _inverse_perm(self.perm_a), _inverse_perm(self.perm_b)
-        if self.swap_parties:
-            pa, pb = pb, pa
-            ga, gb = gb, ga
-        return Relabeling(pa, pb, ga, gb, self.swap_parties)
 
 
 def _flipped(
@@ -168,18 +124,6 @@ def apply_relabeling(table: CgTable, r: Relabeling) -> CgTable:
         c, e = e, c
         scenario = Scenario(table.scenario.nb, table.scenario.na)
     return CgTable(scenario, d, c, e, int(bound), table.name)
-
-
-def relabelings(scenario: Scenario, include_swap: bool = True) -> Iterator[Relabeling]:
-    """All group elements for a scenario (swap only when square)."""
-    na, nb = scenario.na, scenario.nb
-    swaps = (False, True) if include_swap and na == nb else (False,)
-    for swap in swaps:
-        for perm_a in itertools.permutations(range(na)):
-            for perm_b in itertools.permutations(range(nb)):
-                for flip_a in itertools.product((0, 1), repeat=na):
-                    for flip_b in itertools.product((0, 1), repeat=nb):
-                        yield Relabeling(perm_a, perm_b, flip_a, flip_b, swap)
 
 
 def random_relabeling(

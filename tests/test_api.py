@@ -1,0 +1,57 @@
+"""The public names and the hooks the benchmark harness wraps all resolve.
+
+bench/spans.py wraps package functions by (module, attribute) and
+bench/run.py times each row through analysis.analyze_table and
+analysis.canonical_form, so an API cut that drops one of them would break
+`bench/run.py --trace 1`.  Only spans.py is loaded: run.py sets BLAS thread
+variables when it is imported.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import cgbell
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+REMOVED = (
+    "DeterministicStrategy",
+    "enumerate_strategies",
+    "relabelings",
+    "born_probability",
+    "born_marginal_a",
+    "born_marginal_b",
+)
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exports_resolve_once():
+    assert len(cgbell.__all__) == len(set(cgbell.__all__))
+    for name in cgbell.__all__:
+        assert hasattr(cgbell, name), name
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_stay_unexported(name):
+    assert name not in cgbell.__all__
+    assert not hasattr(cgbell, name)
+
+
+def test_benchmark_hooks_resolve(spans):
+    hooks = {(module, attr) for module, attr, _ in spans.WRAPPED}
+    hooks |= {("analysis", "analyze_table"), ("analysis", "canonical_form")}
+    for module, attr in sorted(hooks):
+        assert callable(getattr(importlib.import_module(f"cgbell.{module}"), attr)), (module, attr)

@@ -97,6 +97,8 @@ def fixture_file(tmp_path):
         ["--tol", "0"],
         ["--tol=-1e-10"],
         ["--tol", "tiny"],
+        ["--seed=-1"],
+        ["--seed", "one"],
     ],
 )
 def test_analyze_rejects_bad_option_values(fixture_file, capsys, option):
@@ -105,6 +107,31 @@ def test_analyze_rejects_bad_option_values(fixture_file, capsys, option):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and option[0].split("=")[0] in out.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "=-1e-9", "loose"])
+def test_compare_rejects_bad_tolerance(capsys, tol):
+    path = reference_csv_path()
+    option = ["--tol" + tol] if tol.startswith("=") else ["--tol", tol]
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--input", path, "--reference", path, *option])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--tol" in out.err
+
+
+def test_compare_zero_tolerance_is_an_exact_match(tmp_path, capsys):
+    path = reference_csv_path()
+    assert main(["compare", "--input", path, "--reference", path, "--tol", "0"]) == 0
+    assert capsys.readouterr().out == "compared 30 values: OK\n"
+    lines = open(path, encoding="utf-8").read().splitlines()
+    header, cells = lines[0].split(","), lines[1].split(",")
+    column = header.index("L")
+    cells[column] = repr(float(cells[column]) + 1e-9)
+    moved = tmp_path / "report.csv"
+    moved.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n", encoding="utf-8")
+    assert main(["compare", "--input", str(moved), "--reference", path, "--tol", "0"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "compared 30 values: 1 failures"
 
 
 @pytest.mark.parametrize("command", ["analyze", "canon"])

@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgbell import (
+    Behavior,
     CgTable,
     Scenario,
     detect_lifting,
-    enumerate_strategies,
+    evaluate,
     exact_rank,
     facet_check,
     local_bound,
     white_noise_value,
 )
+from cgbell.localpoly import _bit_rows, _vertex_values
 
 import oracles
 
@@ -47,20 +49,27 @@ def random_table(rng, na, nb, lo=-3, hi=3):
 class TestEnumerate:
     @pytest.mark.parametrize("na,nb,count", [(1, 1, 4), (2, 2, 16), (4, 4, 256)])
     def test_counts(self, na, nb, count):
-        strategies = enumerate_strategies(Scenario(na, nb))
-        assert len(strategies) == count
-        assert len(set(strategies)) == count
+        vertices = {(a, b) for a in map(tuple, _bit_rows(na)) for b in map(tuple, _bit_rows(nb))}
+        assert len(vertices) == count
+        assert all(set(bits) <= {0, 1} for vertex in vertices for bits in vertex)
 
     def test_lexicographic_order(self):
-        strategies = enumerate_strategies(Scenario(2, 1))
-        keys = [(s.alpha, s.beta) for s in strategies]
-        assert keys == sorted(keys)
-        assert keys[0] == ((0, 0), (0,))
+        # detection's tie rule takes the first maximal vertex in this order
+        for n in range(1, 5):
+            rows = [tuple(r) for r in _bit_rows(n).tolist()]
+            assert rows == sorted(rows) == sorted(set(rows))
+            assert rows[0] == (0,) * n and rows[-1] == (1,) * n
 
-    def test_behavior(self):
-        s = enumerate_strategies(Scenario(2, 2))[-1]  # all ones
-        b = s.behavior(Scenario(2, 2))
-        assert np.all(b.joint == 1.0)
+    def test_behavior(self, rng):
+        # grid cell (i, j) is the functional on the deterministic behavior
+        # whose bits are row i of Alice's and row j of Bob's enumeration
+        for na, nb in [(1, 1), (2, 3), (3, 2)]:
+            t = random_table(rng, na, nb)
+            values = _vertex_values(t)
+            for i, alpha in enumerate(_bit_rows(na).tolist()):
+                for j, beta in enumerate(_bit_rows(nb).tolist()):
+                    point = Behavior.deterministic(t.scenario, alpha, beta)
+                    assert values[i, j] == evaluate(t, point)
 
 
 class TestLocalBound:

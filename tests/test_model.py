@@ -93,8 +93,11 @@ class TestCgTable:
     def test_name_validation(self):
         with pytest.raises(ValueError):
             CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name="bad#name")
-        with pytest.raises(ValueError):
-            CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name="")
+        # each of these would not survive serialize_file and parse_file
+        for name in ("", "a\nb", "a\rb", "a\x0cb", "a\x85b", "a\u2028b", " pad ", "pad\t"):
+            with pytest.raises(ValueError):
+                CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name=name)
+        assert CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name="a b\tc").name == "a b\tc"
 
     def test_immutability(self, chsh_table):
         with pytest.raises(ValueError):
@@ -219,24 +222,22 @@ class TestSerialize:
         na=st.integers(1, 4),
         nb=st.integers(1, 4),
         seed=st.integers(0, 2**31 - 1),
-        name=st.one_of(
-            st.none(),
-            st.text(
-                alphabet=st.characters(whitelist_categories=("L", "N"), whitelist_characters="_-"),
-                min_size=1,
-                max_size=12,
-            ),
-        ),
+        name=st.one_of(st.none(), st.text(max_size=12)),
     )
     @settings(max_examples=80, deadline=None)
     def test_round_trip_random(self, na, nb, seed, name):
+        # a name is either refused or carried through unchanged
         rng = np.random.default_rng(seed)
-        table = CgTable(
-            Scenario(na, nb),
-            d=rng.integers(-9, 10, size=(na, nb)),
-            c=rng.integers(-9, 10, size=na),
-            e=rng.integers(-9, 10, size=nb),
-            bound=int(rng.integers(-9, 10)),
-            name=name,
-        )
+        try:
+            table = CgTable(
+                Scenario(na, nb),
+                d=rng.integers(-9, 10, size=(na, nb)),
+                c=rng.integers(-9, 10, size=na),
+                e=rng.integers(-9, 10, size=nb),
+                bound=int(rng.integers(-9, 10)),
+                name=name,
+            )
+        except ValueError:
+            assert name is not None
+            return
         assert parse_file(serialize_file([table, table])) == [table, table]

@@ -3,16 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cgbell import (
     Behavior,
     QuantumStrategy,
+    Scenario,
     apply_relabeling,
-    born_marginal_a,
-    born_marginal_b,
-    born_probability,
     evaluate,
     local_bound,
     quantum_bound,
@@ -27,11 +23,9 @@ from cgbell.quantum import (
     _batch_sweep,
     _block_coefficients,
     _functional,
-    relabel_strategy,
 )
 
 import oracles
-from test_localpoly import random_table
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -64,53 +58,52 @@ def random_strategy(rng, na, nb, theta=None):
     return QuantumStrategy(theta, a, b)
 
 
+def born(theta, a, b):
+    """(p(00), pA(0), pB(0)) for vectors a, b, through strategy_behavior on 1x1."""
+    behavior = strategy_behavior(Scenario(1, 1), QuantumStrategy(theta, [a], [b]))
+    return behavior.joint[0, 0], behavior.marg_a[0], behavior.marg_b[0]
+
+
+def random_unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
 class TestBornProbability:
     def test_aligned_z_maximally_entangled(self):
-        assert born_probability(QUARTER_PI, Z, Z) == pytest.approx(0.5, abs=1e-15)
+        assert born(QUARTER_PI, Z, Z)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_product_state(self):
-        assert born_probability(0.0, Z, Z) == pytest.approx(1.0, abs=1e-15)
+        assert born(0.0, Z, Z)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_aligned_x_maximally_entangled(self):
-        assert born_probability(QUARTER_PI, X, X) == pytest.approx(0.5, abs=1e-15)
+        assert born(QUARTER_PI, X, X)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_non_unit_vector_rejected(self):
+        # test_unit_rows_required covers Alice's side
         with pytest.raises(ValueError):
-            born_probability(0.3, [1, 1, 0], Z)
+            born(0.3, Z, [1, 1, 0])
 
     def test_against_trace_oracle(self, rng):
         worst = 0.0
         for _ in range(1000):
             theta = rng.uniform(0, QUARTER_PI)
-            a = rng.normal(size=3)
-            a /= np.linalg.norm(a)
-            b = rng.normal(size=3)
-            b /= np.linalg.norm(b)
-            worst = max(worst, abs(born_probability(theta, a, b) - oracles.born_trace(theta, a, b)))
+            a, b = random_unit(rng), random_unit(rng)
+            worst = max(worst, abs(born(theta, a, b)[0] - oracles.born_trace(theta, a, b)))
         assert worst <= 1e-12
 
     def test_marginals_against_trace_oracle(self, rng):
         for _ in range(200):
             theta = rng.uniform(0, QUARTER_PI)
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            assert born_marginal_a(theta, v) == pytest.approx(
-                oracles.marginal_trace_a(theta, v), abs=1e-12
-            )
-            assert born_marginal_b(theta, v) == pytest.approx(
-                oracles.marginal_trace_b(theta, v), abs=1e-12
-            )
+            a, b = random_unit(rng), random_unit(rng)
+            _, pa, pb = born(theta, a, b)
+            assert pa == pytest.approx(oracles.marginal_trace_a(theta, a), abs=1e-12)
+            assert pb == pytest.approx(oracles.marginal_trace_b(theta, b), abs=1e-12)
 
     def test_outcome_probabilities_form_distribution(self, rng):
         for _ in range(300):
             theta = rng.uniform(0, QUARTER_PI)
-            a = rng.normal(size=3)
-            a /= np.linalg.norm(a)
-            b = rng.normal(size=3)
-            b /= np.linalg.norm(b)
-            p00 = born_probability(theta, a, b)
-            pa = born_marginal_a(theta, a)
-            pb = born_marginal_b(theta, b)
+            p00, pa, pb = born(theta, random_unit(rng), random_unit(rng))
             probs = [p00, pa - p00, pb - p00, 1 - pa - pb + p00]
             assert all(p >= -1e-12 for p in probs)
             assert sum(probs) == pytest.approx(1.0, abs=1e-12)
@@ -296,17 +289,3 @@ class TestQuantumBound:
             with pytest.raises(ValueError, match="tol"):
                 quantum_bound(chsh_table, tol=tol)
 
-
-class TestRelabelStrategy:
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_value_covariance(self, seed):
-        rng = np.random.default_rng(seed)
-        t = random_table(rng, 2, 2)
-        r = random_relabeling(t.scenario, rng)
-        s = random_strategy(rng, 2, 2)
-        relabeled = apply_relabeling(t, r)
-        transported = relabel_strategy(s, r)
-        lhs = quantum_value(relabeled, transported) - relabeled.bound
-        rhs = quantum_value(t, s) - t.bound
-        assert abs(lhs - rhs) < 1e-12
