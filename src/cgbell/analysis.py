@@ -6,13 +6,16 @@ the maximally entangled state, symmetric detection efficiency, facet flag,
 correlation-form flag and lifting origin.  Whether both see-saws converged
 is kept on the report but not rendered.
 
-Reports are rendered deterministically (6 decimal places, round-half-even),
-so identical inputs, seed, restarts and tolerance give byte-identical CSV.
+One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
+three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
+rendered deterministically (6 decimal places, round-half-even), so identical
+inputs, seed, restarts and tolerance give byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -168,80 +171,65 @@ def analyze_tables(
     or completion order; output keeps input order.
     """
     jobs = [(t, i, restarts, seed, tol) for i, t in enumerate(tables, start=1)]
+    if workers > 1 and len(jobs) > 1:
+        # the pool starts all its processes on the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            calls = [pool.submit(_analyze_args, job).result for job in jobs]
+    else:
+        calls = [functools.partial(_analyze_args, job) for job in jobs]
     reports: list[AnalysisReport] = []
     failures: list[RowFailure] = []
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(job, pool.submit(_analyze_args, job)) for job in jobs]
-            for (table, index, *_), future in futures:
-                try:
-                    reports.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - row isolation is the point
-                    failures.append(RowFailure(index, table.name, str(exc)))
-    else:
-        for job in jobs:
-            try:
-                reports.append(_analyze_args(job))
-            except Exception as exc:  # noqa: BLE001
-                failures.append(RowFailure(job[1], job[0].name, str(exc)))
+    for (table, index, *_), call in zip(jobs, calls):
+        try:
+            reports.append(call())
+        except Exception as exc:  # noqa: BLE001 - row isolation is the point
+            failures.append(RowFailure(index, table.name, str(exc)))
     return reports, failures
 
 
 # --- rendering ---------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _row_cells(r: AnalysisReport) -> dict[str, str]:
+def _row_values(r: AnalysisReport) -> dict[str, object]:
+    """The report row as JSON values, keyed and ordered by CSV_COLUMNS."""
     return {
-        "index": str(r.index),
-        "name": r.name or "",
+        "index": r.index,
+        "name": r.name,
         "scenario": str(r.scenario),
-        "L": str(r.local),
-        "N": _fmt(float(r.noise)),
-        "Q": _fmt(r.quantum),
-        "theta_over_pi": _fmt(r.theta_over_pi),
-        "lambda": _fmt(r.lam),
-        "lambda_me": _fmt(r.lam_me),
-        "eta_sym": _fmt(r.eta_sym),
-        "facet": "true" if r.is_facet else "false",
-        "correlation_form": "true" if r.has_correlation_form else "false",
-        "lifted_from": r.lifted_from or "",
+        "L": r.local,
+        "N": float(r.noise),
+        "Q": r.quantum,
+        "theta_over_pi": r.theta_over_pi,
+        "lambda": r.lam,
+        "lambda_me": r.lam_me,
+        "eta_sym": r.eta_sym,
+        "facet": r.is_facet,
+        "correlation_form": r.has_correlation_form,
+        "lifted_from": r.lifted_from,
     }
+
+
+def _row_cells(r: AnalysisReport) -> list[str]:
+    """The CSV and Markdown cells: None empty, bools lower-case, floats to 6 places."""
+    return [
+        "" if v is None
+        else ("true" if v else "false") if isinstance(v, bool)
+        else f"{v:.6f}" if isinstance(v, float)
+        else str(v)
+        for v in _row_values(r).values()
+    ]
 
 
 def to_csv(reports: Sequence[AnalysisReport]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for r in reports:
-        writer.writerow(_row_cells(r))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(_row_cells(r) for r in reports)
     return buf.getvalue()
 
 
 def to_json(reports: Sequence[AnalysisReport]) -> str:
-    rows = []
-    for r in reports:
-        rows.append(
-            {
-                "index": r.index,
-                "name": r.name,
-                "scenario": str(r.scenario),
-                "L": r.local,
-                "N": float(r.noise),
-                "Q": r.quantum,
-                "theta_over_pi": r.theta_over_pi,
-                "lambda": r.lam,
-                "lambda_me": r.lam_me,
-                "eta_sym": r.eta_sym,
-                "facet": r.is_facet,
-                "correlation_form": r.has_correlation_form,
-                "lifted_from": r.lifted_from,
-            }
-        )
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps([_row_values(r) for r in reports], indent=2) + "\n"
 
 
 def to_markdown(reports: Sequence[AnalysisReport]) -> str:
@@ -250,8 +238,7 @@ def to_markdown(reports: Sequence[AnalysisReport]) -> str:
         "|" + "|".join("---" for _ in CSV_COLUMNS) + "|",
     ]
     for r in reports:
-        cells = _row_cells(r)
-        lines.append("| " + " | ".join(cells[c] for c in CSV_COLUMNS) + " |")
+        lines.append("| " + " | ".join(_row_cells(r)) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -259,7 +246,15 @@ def to_markdown(reports: Sequence[AnalysisReport]) -> str:
 
 
 def load_report_csv(text: str) -> list[dict[str, str]]:
-    return list(csv.DictReader(io.StringIO(text)))
+    """Rows keyed by the header; ValueError when a row has more or fewer cells."""
+    reader = csv.DictReader(io.StringIO(text))
+    rows = []
+    for row in reader:
+        # DictReader keys extra cells by None and fills missing ones with None
+        if None in row or None in row.values():
+            raise ValueError(f"line {reader.line_num}: cell count differs from the header's")
+        rows.append(row)
+    return rows
 
 
 def reference_csv_path() -> str:
@@ -292,24 +287,24 @@ class CompareResult:
         return not self.structural and all(d.ok for d in self.diffs)
 
 
-def _cell(row: dict[str, str], column: str) -> float:
+# The normalisation-independent differences: column -> (minuend, subtrahend).
+_SHIFTS = {"L_minus_N": ("L", "N"), "Q_minus_L": ("Q", "L")}
+
+
+def _value(row: dict[str, str], column: str) -> Optional[float]:
+    """A compared cell as a number; None when empty.  An empty or absent
+    _SHIFTS column is derived from its two raw columns when both are set."""
+    if row.get(column, "") == "":
+        if column not in _SHIFTS:
+            return None
+        a, b = (_value(row, c) for c in _SHIFTS[column])
+        return None if a is None or b is None else a - b
     try:
         return float(row[column])
     except ValueError:
         raise ValueError(
             f"row {row.get('index', '?')}: {column} is not a number: {row[column]!r}"
         ) from None
-
-
-def _shift_invariant(row: dict[str, str], column: str) -> Optional[float]:
-    """L_minus_N or Q_minus_L from an explicit column or the raw columns."""
-    if row.get(column, "") != "":
-        return _cell(row, column)
-    if column == "L_minus_N" and row.get("L") and row.get("N"):
-        return _cell(row, "L") - _cell(row, "N")
-    if column == "Q_minus_L" and row.get("Q") and row.get("L"):
-        return _cell(row, "Q") - _cell(row, "L")
-    return None
 
 
 def compare_reports(
@@ -325,7 +320,7 @@ def compare_reports(
     normalisation-independent pairs L - N and Q - L are compared instead,
     which is what allows checking against references using a shifted form
     of the same inequality.  A compared cell that is not a number raises
-    ValueError.
+    ValueError, also when the other table leaves that cell empty.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -339,20 +334,10 @@ def compare_reports(
         if name != ref_name:
             structural.append(f"name mismatch at index {row.get('index')}: {name!r} vs {ref_name!r}")
             continue
-        columns: list[tuple[str, Optional[float], Optional[float]]] = []
-        for col in INVARIANT_COLUMNS:
-            if row.get(col, "") != "" and ref.get(col, "") != "":
-                columns.append((col, _cell(row, col), _cell(ref, col)))
-        if normalized:
-            for col in ("L_minus_N", "Q_minus_L"):
-                a, b = _shift_invariant(row, col), _shift_invariant(ref, col)
-                if a is not None and b is not None:
-                    columns.append((col, a, b))
-        else:
-            for col in ("L", "N", "Q"):
-                if row.get(col, "") != "" and ref.get(col, "") != "":
-                    columns.append((col, _cell(row, col), _cell(ref, col)))
-        for col, a, b in columns:
+        for col in (*INVARIANT_COLUMNS, *(_SHIFTS if normalized else ("L", "N", "Q"))):
+            a, b = _value(row, col), _value(ref, col)
+            if a is None or b is None:
+                continue
             diffs.append(
                 ColumnDiff(
                     index=row.get("index", "?"),
@@ -377,13 +362,12 @@ class CanonGroup:
 
 
 def group_equivalent(tables: Sequence[CgTable]) -> list[CanonGroup]:
-    """Group mutually equivalent inequalities by canonical form."""
-    groups: dict[tuple, list[int]] = {}
-    canonicals: dict[tuple, CgTable] = {}
+    """Group mutually equivalent inequalities by canonical form.
+
+    Groups come in the order of their first member in ``tables``.
+    """
+    groups: dict[tuple, tuple[CgTable, list[int]]] = {}
     for i, t in enumerate(tables, start=1):
         canon = canonical_form(t)
-        key = canon.key()
-        groups.setdefault(key, []).append(i)
-        canonicals.setdefault(key, canon)
-    ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-    return [CanonGroup(canonicals[k], tuple(members)) for k, members in ordered]
+        groups.setdefault(canon.key(), (canon, []))[1].append(i)
+    return [CanonGroup(canon, tuple(members)) for canon, members in groups.values()]

@@ -68,7 +68,7 @@ def _nonnegative_float(text: str) -> float:
 def _read_tables(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:
         return parse_file(text)
@@ -79,7 +79,7 @@ def _read_tables(path: str):
 def _read_csv(path: str):
     try:
         return load_report_csv(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

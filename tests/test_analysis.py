@@ -1,9 +1,12 @@
 """The analysis pipeline end to end: the bundled reference, worker counts,
-and invariance of the report under relabelings."""
+the three report formats, and invariance of the report under relabelings."""
 
 import contextlib
+import csv
 import functools
 import io
+import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,15 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgbell import (
+    CgTable,
     Scenario,
+    all_fixtures,
+    analysis,
     analyze_table,
+    analyze_tables,
     apply_relabeling,
     chsh,
     i3322,
     random_relabeling,
     reference_csv_path,
+    to_csv,
+    to_json,
+    to_markdown,
 )
-from cgbell.analysis import DEFAULT_TOLERANCES
+from cgbell.analysis import CSV_COLUMNS, DEFAULT_TOLERANCES
 from cgbell.cli import main
 
 from test_localpoly import embed
@@ -58,10 +68,82 @@ def test_fixtures_match_the_bundled_reference(fixture_report, tmp_path):
     assert (code, out) == (0, "compared 30 values: OK\n")
 
 
-def test_worker_count_does_not_change_the_report(fixture_file, fixture_report):
-    code, report, err = cli("analyze", "--input", str(fixture_file), "--workers", "2")
-    assert (code, err) == (0, "")
-    assert report == fixture_report
+@pytest.mark.parametrize("output", ["csv", "json", "md"])
+def test_worker_count_does_not_change_the_report(fixture_file, output):
+    serial, pooled = (
+        cli("analyze", "--input", str(fixture_file), "--output", output, "--workers", workers)
+        for workers in ("1", "2")
+    )
+    assert serial[0] == 0 and serial[2] == ""
+    assert pooled == serial
+
+
+def test_pool_is_sized_to_the_rows(fixture_file, fixture_report, monkeypatch):
+    sizes = []
+
+    def pool(max_workers):
+        # threads stand in for the processes, so a large count starts none
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", pool)
+    code, report, err = cli("analyze", "--input", str(fixture_file), "--workers", "64")
+    assert (code, report, err) == (0, fixture_report, "")
+    assert sizes == [len(all_fixtures())]
+
+
+# positivity of p(00|00), lifted to 3x3: no quantum violation, so lambda and
+# eta_sym are 1
+POSITIVITY_3x3 = CgTable(
+    Scenario(3, 3), [[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [0, 0, 0], [0, 0, 0], 0, "POS_3x3"
+)
+
+
+@pytest.fixture(scope="module")
+def reports():
+    tables = [*all_fixtures(), chsh().with_name(None), POSITIVITY_3x3]
+    reports, failures = analyze_tables(tables)
+    assert failures == [] and len(reports) == len(tables)
+    return reports
+
+
+def formatted(value):
+    """A JSON value as the CSV and Markdown reports print it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def test_json_rows_follow_the_csv_columns(reports):
+    rows = json.loads(to_json(reports))
+    assert [list(row) for row in rows] == [CSV_COLUMNS] * len(reports)
+    for row in rows:
+        assert type(row["index"]) is int and type(row["L"]) is int
+        assert type(row["scenario"]) is str
+        assert all(type(row[c]) is float for c in ("N", "Q", "theta_over_pi"))
+        assert all(type(row[c]) is float for c in ("lambda", "lambda_me", "eta_sym"))
+        assert type(row["facet"]) is bool and type(row["correlation_form"]) is bool
+    *fixtures, unnamed, lifted = rows
+    assert [row["lifted_from"] for row in fixtures] == [None] * len(fixtures)
+    assert (unnamed["name"], unnamed["lifted_from"]) == (None, None)
+    assert (lifted["name"], lifted["lifted_from"]) == ("POS_3x3", "1x1")
+    assert (lifted["lambda"], lifted["lambda_me"], lifted["eta_sym"]) == (1.0, 1.0, 1.0)
+
+
+def test_csv_and_markdown_cells_format_the_json_values(reports):
+    rows = json.loads(to_json(reports))
+    header, *cells = csv.reader(io.StringIO(to_csv(reports)))
+    assert header == CSV_COLUMNS
+    assert cells == [[formatted(row[c]) for c in CSV_COLUMNS] for row in rows]
+    lines = to_markdown(reports).splitlines()
+    assert lines[1] == "|" + "|".join("---" for _ in CSV_COLUMNS) + "|"
+    table = [lines[0], *lines[2:]]
+    assert all(line.startswith("| ") and line.endswith(" |") for line in table)
+    assert [line[2:-2].split(" | ") for line in table] == [header, *cells]
 
 
 BASES = {

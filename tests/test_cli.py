@@ -1,10 +1,26 @@
 import functools
 import re
 
+import numpy as np
 import pytest
 
-from cgbell import all_fixtures, analysis, quantum, reference_csv_path, serialize_file
+from cgbell import (
+    Scenario,
+    all_fixtures,
+    analysis,
+    apply_relabeling,
+    canonical_form,
+    chsh,
+    i3322,
+    parse_file,
+    quantum,
+    random_relabeling,
+    reference_csv_path,
+    serialize_file,
+)
 from cgbell.cli import main
+
+from test_localpoly import embed
 
 # a row failure as `cgbell analyze` reports it on standard error
 ROW_FAILURE = re.compile(r"^row \d+ .* failed: ", re.MULTILINE)
@@ -70,6 +86,20 @@ def test_compare_non_numeric_cell_is_an_input_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'abc'" in err
+
+
+@pytest.mark.parametrize("row", ["short", "long"])
+def test_compare_row_with_wrong_cell_count_is_an_input_error(tmp_path, capsys, row):
+    # the second data row, on line 3, loses its last cell or gains one
+    lines = open(reference_csv_path(), encoding="utf-8").read().splitlines()
+    cells = lines[2].split(",")
+    cells = cells[:-1] if row == "short" else [*cells, "0.5"]
+    path = tmp_path / "report.csv"
+    path.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n", encoding="utf-8")
+    argv = ["compare", "--input", str(path), "--reference", reference_csv_path(), "--normalized"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and "line 3" in out.err
 
 
 def test_compare_reference_against_itself(capsys):
@@ -140,6 +170,16 @@ def test_missing_input_file_is_an_input_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["analyze", "canon", "compare"])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("inequality Bell\u00e9\n".encode("latin-1"))
+    argv = [command, "--input", str(path)]
+    assert main(argv + ["--reference", str(path)] if command == "compare" else argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and "utf-8" in out.err
+
+
 def test_canon_parse_error_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("inequality BAD\nscenario 2 2\nbound zero\nend\n", encoding="utf-8")
@@ -180,3 +220,29 @@ def test_analyze_warns_about_an_unconverged_see_saw(fixture_file, capsys, monkey
         for i, t in enumerate(fixtures, start=1)
     ]
     assert not ROW_FAILURE.search(out.err)
+
+
+def test_canon_prints_groups_in_order_of_first_member(tmp_path, capsys):
+    moved = random_relabeling(Scenario(3, 3), np.random.default_rng(7))
+    tables = [
+        i3322(),
+        chsh(),
+        apply_relabeling(i3322(), moved).with_name("I3322_moved"),
+        embed(chsh(), Scenario(3, 3), (0, 2), (1, 2)).with_name("CHSH_3x3"),
+    ]
+    path = tmp_path / "interleaved.txt"
+    path.write_text(serialize_file(tables), encoding="utf-8")
+    assert main(["canon", "--input", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert [line for line in out.out.splitlines() if line.startswith("#")] == [
+        "# group 1 (2 inequalities): I3322, I3322_moved",
+        "# group 2 (1 inequality): CHSH",
+        "# group 3 (1 inequality): CHSH_3x3",
+        "# CHSH_3x3: lifted_from 2x2",
+    ]
+    blocks = re.split(r"^# .*\n", out.out, flags=re.MULTILINE)
+    assert blocks[0] == "" and blocks[-1] == ""
+    for g, (block, members) in enumerate(zip(blocks[1:4], ([1, 3], [2], [4])), start=1):
+        for i in members:
+            assert parse_file(block) == [canonical_form(tables[i - 1]).with_name(f"group_{g}")]
