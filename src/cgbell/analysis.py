@@ -238,7 +238,8 @@ def to_markdown(reports: Sequence[AnalysisReport]) -> str:
         "|" + "|".join("---" for _ in CSV_COLUMNS) + "|",
     ]
     for r in reports:
-        lines.append("| " + " | ".join(_row_cells(r)) + " |")
+        # a name may hold "|", which would end its cell early
+        lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in _row_cells(r)) + " |")
     return "\n".join(lines) + "\n"
 
 

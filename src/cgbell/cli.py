@@ -37,37 +37,23 @@ class InputError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _number(kind, low, strict=False):
+    """An argparse type for a finite ``kind`` >= ``low``, or > ``low`` if ``strict``."""
 
+    def parse(text: str):
+        value = kind(text)
+        if not ((value > low if strict else value >= low) and value < math.inf):
+            bound = f"> {low}" if strict else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not (value >= 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _read_tables(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:
@@ -78,7 +64,7 @@ def _read_tables(path: str):
 
 def _read_csv(path: str):
     try:
-        return load_report_csv(Path(path).read_text(encoding="utf-8"))
+        return load_report_csv(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -158,14 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="inequality file")
     p.add_argument("--output", choices=("csv", "json", "md"), default="csv")
     p.add_argument(
-        "--restarts", type=_positive_int, default=50, help="see-saw restarts per optimization"
+        "--restarts", type=_number(int, 1), default=50, help="see-saw restarts per optimization"
     )
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument(
-        "--tol", type=_positive_float, default=1e-10, help="see-saw convergence tolerance"
+        "--tol", type=_number(float, 0, strict=True), default=1e-10, help="see-saw convergence tolerance"
     )
     p.add_argument(
-        "--workers", type=_positive_int, default=1, help="parallel per-inequality workers"
+        "--workers", type=_number(int, 1), default=1, help="parallel per-inequality workers"
     )
     p.set_defaults(func=_cmd_analyze)
 
@@ -173,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="report CSV")
     p.add_argument("--reference", required=True, help="reference CSV")
     p.add_argument(
-        "--tol", type=_nonnegative_float, default=None, help="uniform tolerance for all columns"
+        "--tol", type=_number(float, 0), default=None, help="uniform tolerance for all columns"
     )
     p.add_argument(
         "--normalized",

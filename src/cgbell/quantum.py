@@ -15,7 +15,8 @@ theta) are exact block maximizations and the value never decreases.
 One batched sweep steps all restarts in lockstep: quantum_bound runs it
 on every restart at once and seesaw_step on a batch of one, so each
 restart follows the same kernel either way (not always to the last bit,
-as BLAS picks its kernels by batch size).
+as BLAS picks its kernels by batch size).  For the same reason a restart
+that has converged stays in the batch and is swept on, but keeps its state.
 """
 
 from __future__ import annotations
@@ -168,18 +169,9 @@ def _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta):
               - np.sum((a[:, :, 1] @ d) * b[:, :, 1], axis=1)) / 4
         phi = np.arctan2(k2, k1)
         interior = (phi > 0.0) & (phi < math.pi / 2)
-        cand_vals = np.stack([
-            k1,  # phi = 0
-            k2,  # phi = pi/2
-            np.where(interior, k1 * np.cos(phi) + k2 * np.sin(phi), -np.inf),
-        ])
-        cand_theta = np.stack([
-            np.zeros_like(theta),
-            np.full_like(theta, QUARTER_PI),
-            np.where(interior, phi / 2, 0.0),
-        ])
-        pick = np.argmax(cand_vals, axis=0)  # first max wins: 0, then pi/4
-        theta = cand_theta[pick, np.arange(theta.size)]
+        peak = np.where(interior, k1 * np.cos(phi) + k2 * np.sin(phi), -np.inf)
+        # ties go to theta = 0, then pi/4, then the interior peak
+        theta = np.where(peak > np.maximum(k1, k2), phi / 2, np.where(k2 > k1, QUARTER_PI, 0.0))
     return a, b, theta
 
 
@@ -190,11 +182,7 @@ def _batch_values(d, c, e, a, b, theta):
 
 def _random_units(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     vecs = rng.normal(size=shape + (3,))
-    norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
-    while np.any(norms < 1e-12):  # essentially unreachable
-        vecs = rng.normal(size=shape + (3,))
-        norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
-    return vecs / norms
+    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
 
 
 def quantum_bound(
@@ -233,27 +221,18 @@ def quantum_bound(
 
     d, c, e, drow, dcol = _functional(table)
     values = _batch_values(d, c, e, a, b, theta)
-    active = np.ones(restarts, dtype=bool)
-    out_a, out_b = a.copy(), b.copy()
-    out_theta, out_values = theta.copy(), values.copy()
-    out_converged = np.zeros(restarts, dtype=bool)
-
+    converged = np.zeros(restarts, dtype=bool)
     for _ in range(max_sweeps):
-        a, b, theta = _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta)
-        new_values = _batch_values(d, c, e, a, b, theta)
-        done = active & (new_values - values < tol)
-        if np.any(done):
-            out_a[done], out_b[done] = a[done], b[done]
-            out_theta[done], out_values[done] = theta[done], new_values[done]
-            out_converged[done] = True
-            active &= ~done
-        values = new_values
-        if not np.any(active):
+        # converged restarts are swept too, so BLAS keeps the kernels it picked for this batch size
+        new_a, new_b, new_theta = _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta)
+        new_values = _batch_values(d, c, e, new_a, new_b, new_theta)
+        live = ~converged
+        a[live], b[live], theta[live] = new_a[live], new_b[live], new_theta[live]
+        converged[live] = new_values[live] - values[live] < tol
+        values[live] = new_values[live]
+        if converged.all():
             break
-    if np.any(active):  # hit the sweep cap
-        out_a[active], out_b[active] = a[active], b[active]
-        out_theta[active], out_values[active] = theta[active], values[active]
 
-    best = int(np.argmax(out_values))  # argmax takes the earliest on ties
-    strategy = QuantumStrategy(float(out_theta[best]), out_a[best], out_b[best])
-    return QuantumBoundResult(float(out_values[best]), strategy, bool(out_converged[best]))
+    best = int(np.argmax(values))  # argmax takes the earliest on ties
+    strategy = QuantumStrategy(float(theta[best]), a[best], b[best])
+    return QuantumBoundResult(float(values[best]), strategy, bool(converged[best]))

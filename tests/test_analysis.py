@@ -3,9 +3,11 @@ the three report formats, and invariance of the report under relabelings."""
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -92,6 +94,24 @@ def test_pool_is_sized_to_the_rows(fixture_file, fixture_report, monkeypatch):
     assert sizes == [len(all_fixtures())]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failed_row_leaves_the_others(fixture_file, fixture_report, monkeypatch, workers):
+    real = analysis.analyze_table
+
+    def fail_row_2(table, index, *args):
+        if index == 2:
+            raise RuntimeError("boom")
+        return real(table, index, *args)
+
+    monkeypatch.setattr(analysis, "analyze_table", fail_row_2)
+    # threads stand in for the worker processes, which would not see the patch
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", ThreadPoolExecutor)
+    code, report, err = cli("analyze", "--input", str(fixture_file), "--workers", workers)
+    header, *rows = fixture_report.splitlines()
+    assert (code, err) == (1, "row 2 (I3322) failed: boom\n")
+    assert report.splitlines() == [header, *rows[:1], *rows[2:]]
+
+
 # positivity of p(00|00), lifted to 3x3: no quantum violation, so lambda and
 # eta_sym are 1
 POSITIVITY_3x3 = CgTable(
@@ -172,3 +192,10 @@ def test_report_invariant_under_relabeling(name, seed):
     assert abs(moved.lam_me - base.lam_me) <= tol["lambda_me"]
     assert abs(moved.eta_sym - base.eta_sym) <= tol["eta_sym"]
     assert (moved.is_facet, moved.has_correlation_form) == (base.is_facet, base.has_correlation_form)
+
+
+def test_markdown_escapes_a_pipe_in_a_name(reports):
+    row = to_markdown([dataclasses.replace(reports[0], name="a|b")]).splitlines()[2]
+    cells = re.split(r"(?<!\\)\|", row)[1:-1]
+    assert len(cells) == len(CSV_COLUMNS) == 13
+    assert cells[1] == r" a\|b "

@@ -9,6 +9,8 @@ variables when it is imported.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +18,8 @@ import pytest
 
 import cgbell
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 REMOVED = (
     "DeterministicStrategy",
@@ -55,3 +58,13 @@ def test_benchmark_hooks_resolve(spans):
     hooks |= {("analysis", "analyze_table"), ("analysis", "canonical_form")}
     for module, attr in sorted(hooks):
         assert callable(getattr(importlib.import_module(f"cgbell.{module}"), attr)), (module, attr)
+
+
+def test_cli_loads_no_undeclared_module():
+    # numpy is the only runtime dependency; scipy may be installed but is not declared
+    code = "import sys, cgbell.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = {name.split(".")[0] for name in run.stdout.split()}
+    assert loaded.isdisjoint({"scipy", "pytest", "hypothesis"})

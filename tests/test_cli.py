@@ -139,6 +139,13 @@ def test_analyze_rejects_bad_option_values(fixture_file, capsys, option):
     assert out.out == "" and option[0].split("=")[0] in out.err
 
 
+def test_option_type_errors_name_the_type(fixture_file, capsys):
+    for option, kind in ((["--restarts", "many"], "int"), (["--tol", "tiny"], "float")):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--input", str(fixture_file), *option])
+        assert f"invalid {kind} value: '{option[1]}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "=-1e-9", "loose"])
 def test_compare_rejects_bad_tolerance(capsys, tol):
     path = reference_csv_path()
@@ -195,14 +202,47 @@ def test_compare_value_mismatch_exits_1(tmp_path, capsys):
     column = header.index("lambda")
     cells[column] = f"{float(cells[column]) + 0.1:.4f}"
     path = tmp_path / "report.csv"
-    path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n", encoding="utf-8")
-    code = main(
-        ["compare", "--input", str(path), "--reference", reference_csv_path(), "--normalized"]
-    )
-    assert code == 1
+    text = "\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n"
+    # a byte-order mark must not hide the first column, the row index
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(text, encoding=encoding)
+        code = main(
+            ["compare", "--input", str(path), "--reference", reference_csv_path(), "--normalized"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("row 1 CHSH lambda: ")
+        assert out[-1] == "compared 30 values: 1 failures"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda lines: lines[:-1], "row count mismatch: report 4 vs reference 5"),
+        (
+            lambda lines: [lines[0], lines[1].replace(",CHSH,", ",CHSH2,"), *lines[2:]],
+            "name mismatch at index 1: 'CHSH2' vs 'CHSH'",
+        ),
+    ],
+)
+def test_compare_structural_mismatch_exits_1(tmp_path, capsys, edit, message):
+    lines = open(reference_csv_path(), encoding="utf-8").read().splitlines()
+    path = tmp_path / "report.csv"
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    argv = ["compare", "--input", str(path), "--reference", reference_csv_path(), "--normalized"]
+    assert main(argv) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("row 1 CHSH lambda: ")
-    assert out[-1] == "compared 30 values: 1 failures"
+    assert out[0] == f"structural: {message}"
+    assert out[-1].endswith(": 1 failures")
+
+
+@pytest.mark.parametrize("command", ["analyze", "canon"])
+def test_input_with_a_byte_order_mark_reads_as_without(fixture_file, tmp_path, capsys, command):
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + fixture_file.read_bytes())
+    plain = main([command, "--input", str(fixture_file)]), capsys.readouterr()
+    assert main([command, "--input", str(bom)]) == plain[0] == 0
+    assert capsys.readouterr() == plain[1]
 
 
 def test_analyze_warns_about_an_unconverged_see_saw(fixture_file, capsys, monkeypatch):

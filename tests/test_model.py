@@ -198,6 +198,21 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_file(CHSH_BLOCK.replace("end", ""))
 
+    def test_missing_end_before_the_next_block(self):
+        with pytest.raises(ParseError, match="expected 'end'") as err:
+            parse_file(CHSH_BLOCK.replace("end\n", "") + CHSH_BLOCK)
+        assert err.value.lineno == 8
+
+    def test_block_must_open_with_inequality(self):
+        with pytest.raises(ParseError, match="expected 'inequality'") as err:
+            parse_file(CHSH_BLOCK.replace("inequality CHSH\n", ""))
+        assert err.value.lineno == 1
+
+    def test_empty_scenario_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_file(CHSH_BLOCK.replace("scenario 2 2", "scenario 0 2"))
+        assert err.value.lineno == 2
+
     def test_unknown_keyword(self):
         with pytest.raises(ParseError, match="expected 'scenario'"):
             parse_file("inequality X\nbounds 0\n")

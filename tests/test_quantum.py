@@ -6,10 +6,14 @@ import pytest
 
 from cgbell import (
     Behavior,
+    CgTable,
     QuantumStrategy,
     Scenario,
     apply_relabeling,
+    chsh,
     evaluate,
+    i3322,
+    i3422_3,
     local_bound,
     quantum_bound,
     quantum_value,
@@ -23,9 +27,11 @@ from cgbell.quantum import (
     _batch_sweep,
     _block_coefficients,
     _functional,
+    _random_units,
 )
 
 import oracles
+from test_localpoly import random_table
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -289,3 +295,53 @@ class TestQuantumBound:
             with pytest.raises(ValueError, match="tol"):
                 quantum_bound(chsh_table, tol=tol)
 
+
+    @pytest.mark.parametrize("max_sweeps", [1, 3, 2000])
+    @pytest.mark.parametrize("fix_theta", [None, QUARTER_PI])
+    def test_strategy_reproduces_value(self, fixtures, fix_theta, max_sweeps):
+        # the returned value and strategy must come from the same sweep
+        for t in fixtures:
+            r = quantum_bound(t, fix_theta=fix_theta, restarts=20, seed=5, max_sweeps=max_sweeps)
+            assert abs(quantum_value(t, r.strategy) - r.value) <= 1e-12
+
+    @pytest.mark.parametrize("max_sweeps", [1, 3, 2000])
+    @pytest.mark.parametrize("fix_theta", [None, QUARTER_PI])
+    def test_best_of_restarts_run_one_at_a_time(self, fix_theta, max_sweeps):
+        restarts, seed, tol = 8, 3, 1e-10
+        rng = np.random.default_rng(11)
+        tables = [chsh(), i3322(), i3422_3()]
+        for na, nb in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            t = random_table(rng, na, nb)
+            tables.append(CgTable(t.scenario, t.d, t.c, t.e, local_bound(t)))
+        for t in tables:
+            draws = np.random.default_rng(seed)
+            a = _random_units(draws, (restarts, t.scenario.na))
+            b = _random_units(draws, (restarts, t.scenario.nb))
+            if fix_theta is None:
+                theta = draws.uniform(0.0, QUARTER_PI, size=restarts)
+            else:
+                theta = np.full(restarts, fix_theta)
+            runs = []
+            for k in range(restarts):
+                s = QuantumStrategy(theta[k], a[k], b[k])
+                value, converged = quantum_value(t, s), False
+                for _ in range(max_sweeps):
+                    s = seesaw_step(t, s, update_theta=fix_theta is None)
+                    new = quantum_value(t, s)
+                    converged, value = new - value < tol, new
+                    if converged:
+                        break
+                runs.append((value, converged))
+            best_value, best_converged = max(runs, key=lambda run: run[0])
+            r = quantum_bound(
+                t, fix_theta=fix_theta, restarts=restarts, seed=seed, tol=tol, max_sweeps=max_sweeps
+            )
+            assert r.value == pytest.approx(best_value, abs=1e-9)
+            assert r.converged == best_converged
+
+    def test_zero_table_takes_theta_zero(self):
+        # k1 = k2 = 0 and no interior peak: the tie goes to theta = 0
+        zero = CgTable(Scenario(2, 2), np.zeros((2, 2), int), np.zeros(2, int), np.zeros(2, int), 0)
+        r = quantum_bound(zero, restarts=5, seed=0)
+        assert r.strategy.theta == 0.0
+        assert r.value == 0.0 and r.converged
