@@ -19,7 +19,6 @@ import functools
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -83,7 +82,7 @@ class AnalysisReport:
     is_facet: bool
     has_correlation_form: bool
     lifted_from: Optional[str]
-    converged: bool  # both see-saws (free theta and pi/4) met their tolerance
+    converged: bool  # both see-saws (free theta and pi/4) ended at a certified local maximum
 
     def validate(self) -> None:
         finite = [self.quantum, self.theta_over_pi, self.lam, self.lam_me, self.eta_sym]
@@ -172,6 +171,9 @@ def analyze_tables(
     """
     jobs = [(t, i, restarts, seed, tol) for i, t in enumerate(tables, start=1)]
     if workers > 1 and len(jobs) > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its processes on the first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             calls = [pool.submit(_analyze_args, job).result for job in jobs]

@@ -11,12 +11,23 @@ vector v, which gives the closed form
 
 The Bell functional is linear in each measurement vector separately and a
 shifted cosine in theta, so see-saw sweeps (all of Alice, all of Bob, then
-theta) are exact block maximizations and the value never decreases.
+theta; Werner and Wolf, QIC 1 (2001)) are exact block maximizations and the
+value never decreases.
 One batched sweep steps all restarts in lockstep: quantum_bound runs it
 on every restart at once and seesaw_step on a batch of one, so each
 restart follows the same kernel either way (not always to the last bit,
 as BLAS picks its kernels by batch size).  For the same reason a restart
 that has converged stays in the batch and is swept on, but keeps its state.
+
+quantum_bound works in two phases.  The sweeps, at most SWEEP_CAP of them,
+bring every restart near a local maximum; a restart whose sweep gains less
+than tol is frozen there.  Sweeps alone crawl near some maxima (I3422_1
+took 1305 of them and still ended 7e-9 below sqrt(5)), so the best few
+restarts are then polished by damped Newton steps on the sphere in
+(theta, a, b) with the analytic gradient and Hessian (Absil, Mahony and
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4-7),
+which stop at a certified local maximum: the gradient below tolerance and
+the Hessian negative semidefinite up to the gauge's zero modes.
 """
 
 from __future__ import annotations
@@ -31,6 +42,10 @@ from .model import Behavior, CgTable, Scenario, evaluate
 
 _UNIT_TOL = 1e-12
 QUARTER_PI = math.pi / 4
+SWEEP_CAP = 30  # see-saw sweeps before the Newton polish
+POLISHED = 3  # restarts polished, best first, distinct in value
+POLISH_STEPS = 20  # Newton steps per polished restart
+_HALVINGS = 0.5 ** np.arange(12)  # the polish's backtracking step lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,36 +81,26 @@ class QuantumBoundResult:
 
     value: float
     strategy: QuantumStrategy
-    converged: bool
-
-
-def _born(theta: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """p(00|xy), pA(0|x) and pB(0|y) for every restart at once.
-
-    theta is (R,), a is (R, na, 3), b is (R, nb, 3); the results are
-    (R, na, nb), (R, na) and (R, nb).
-    """
-    ct = np.cos(2 * theta)[:, None]
-    st = np.sin(2 * theta)[:, None, None]
-    az, bz = a[:, :, 2], b[:, :, 2]
-    joint = (
-        1.0
-        + ct[:, :, None] * (az[:, :, None] + bz[:, None, :])
-        + az[:, :, None] * bz[:, None, :]
-        + st * (a[:, :, 0, None] * b[:, None, :, 0] - a[:, :, 1, None] * b[:, None, :, 1])
-    ) / 4
-    return joint, (1 + ct * az) / 2, (1 + ct * bz) / 2
+    converged: bool  # the strategy is a certified local maximum
 
 
 def strategy_behavior(scenario: Scenario, s: QuantumStrategy) -> Behavior:
-    """The CG behavior produced by a strategy."""
+    """The CG behavior produced by a strategy, by the closed form above."""
     if s.a_vecs.shape[0] != scenario.na or s.b_vecs.shape[0] != scenario.nb:
         raise ValueError(
             f"strategy has {s.a_vecs.shape[0]}x{s.b_vecs.shape[0]} settings, "
             f"scenario is {scenario}"
         )
-    joint, pa, pb = _born(np.array([s.theta]), s.a_vecs[None], s.b_vecs[None])
-    return Behavior(scenario, joint[0], pa[0], pb[0])
+    ct, st = math.cos(2 * s.theta), math.sin(2 * s.theta)
+    a, b = s.a_vecs, s.b_vecs
+    az, bz = a[:, 2], b[:, 2]
+    joint = (
+        1.0
+        + ct * (az[:, None] + bz[None, :])
+        + np.outer(az, bz)
+        + st * (np.outer(a[:, 0], b[:, 0]) - np.outer(a[:, 1], b[:, 1]))
+    ) / 4
+    return Behavior(scenario, joint, (1 + ct * az) / 2, (1 + ct * bz) / 2)
 
 
 def quantum_value(table: CgTable, s: QuantumStrategy) -> float:
@@ -112,7 +117,7 @@ def seesaw_step(
     returned strategy never falls below the input's.  This is quantum_bound's
     batched sweep run on a batch of one.
     """
-    a, b, theta = _batch_sweep(
+    a, b, theta, _ = _batch_sweep(
         *_functional(table), s.a_vecs[None], s.b_vecs[None], np.array([s.theta]), update_theta
     )
     return QuantumStrategy(theta[0], a[0], b[0])
@@ -122,62 +127,172 @@ def seesaw_step(
 
 
 def _functional(table: CgTable):
-    """(d, c, e, row sums of d, column sums of d) as floats."""
-    d = table.d.astype(float)
-    return d, table.c.astype(float), table.e.astype(float), d.sum(axis=1), d.sum(axis=0)
+    """(w, ua, ub, k0) as floats, with w = d/4 and the functional written as
+
+        k0 + cos(2t) (ua . az + ub . bz)
+           + sum_xy w[x, y] (az[x] bz[y] + sin(2t) (ax[x] bx[y] - ay[x] by[y]))
+
+    where ua = (row sums of d)/4 + c/2, ub = (column sums of d)/4 + e/2 and
+    k0 = sum(d)/4 + (sum(c) + sum(e))/2.
+    """
+    w, c, e = table.d / 4, table.c / 2, table.e / 2
+    return w, w.sum(axis=1) + c, w.sum(axis=0) + e, w.sum() + c.sum() + e.sum()
 
 
-def _block_coefficients(d, dsum, m, other, ct, st):
+def _block_coefficients(w, u, other, ct, st):
     """Gradient of the functional in each of one party's vectors, every restart.
 
-    For Alice d is the table's d, dsum its row sums, m = c and other Bob's
-    (R, nb, 3) vectors; for Bob the same with d.T, the column sums, e and
-    Alice's vectors.  ct and st are cos(2 theta) and sin(2 theta), (R, 1).
-    The objective is r[x] . v[x] + const for fixed theta and the other
-    party, so the exact block maximizer is r[x]/|r[x]|.
+    For Alice w is d/4, u is ua and other Bob's (R, nb, 3) vectors; for Bob
+    the same with w.T, ub and Alice's vectors.  ct and st are cos(2 theta)
+    and sin(2 theta), (R, 1).  The objective is r[x] . v[x] + const for
+    fixed theta and the other party, so the exact block maximizer is
+    r[x]/|r[x]|.
     """
-    r = np.empty((other.shape[0], d.shape[0], 3))
-    r[:, :, 0] = st * (other[:, :, 0] @ d.T) / 4
-    r[:, :, 1] = -st * (other[:, :, 1] @ d.T) / 4
-    r[:, :, 2] = (ct * (dsum + 2 * m) + other[:, :, 2] @ d.T) / 4
+    r = w @ other
+    r[:, :, 0] *= st
+    r[:, :, 1] *= -st
+    r[:, :, 2] += ct * u
     return r
 
 
 def _ascend(vecs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The block maximizer r/|r|, row by row."""
-    norms = np.linalg.norm(r, axis=2)
+    norms = np.sqrt(np.einsum("rxi,rxi->rx", r, r))[:, :, None]
     # a vector with zero gradient keeps its old direction
-    return np.divide(r, norms[:, :, None], out=vecs.copy(), where=(norms > 0)[:, :, None])
+    return np.divide(r, norms, out=vecs.copy(), where=norms > 0)
 
 
-def _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta):
+def _theta_coefficients(w, ua, ub, a, b):
+    """(k1, k2, zz), each (R,), with the functional of the restarts' vectors
+    a and b equal to k0 + zz + k1 cos(2t) + k2 sin(2t)."""
+    s = np.einsum("riy,ryi->ri", np.swapaxes(a, 1, 2) @ w, b)  # sum_xy a[x, i] w[x, y] b[y, i]
+    return a[:, :, 2] @ ua + b[:, :, 2] @ ub, s[:, 0] - s[:, 1], s[:, 2]
+
+
+def _value_at(k0, coefficients, theta):
+    k1, k2, zz = coefficients
+    return k0 + zz + k1 * np.cos(2 * theta) + k2 * np.sin(2 * theta)
+
+
+def _batch_values(w, ua, ub, k0, a, b, theta):
+    """The functional at every restart: a is (R, na, 3), b is (R, nb, 3), theta is (R,)."""
+    return _value_at(k0, _theta_coefficients(w, ua, ub, a, b), theta)
+
+
+def _batch_sweep(w, ua, ub, k0, a, b, theta, update_theta):
     """One see-saw sweep (all of Alice, all of Bob, then theta) applied to
-    every restart at once.
+    every restart at once, and the values it reaches.
 
     a is (R, na, 3), b is (R, nb, 3), theta is (R,).
     """
     ct = np.cos(2 * theta)[:, None]
     st = np.sin(2 * theta)[:, None]
-    a = _ascend(a, _block_coefficients(d, drow, c, b, ct, st))
-    b = _ascend(b, _block_coefficients(d.T, dcol, e, a, ct, st))
+    a = _ascend(a, _block_coefficients(w, ua, b, ct, st))
+    b = _ascend(b, _block_coefficients(w.T, ub, a, ct, st))
 
+    coefficients = _theta_coefficients(w, ua, ub, a, b)
     if update_theta:
-        # objective = K0 + k1 cos(2t) + k2 sin(2t), maximized over [0, pi/4]
-        az, bz = a[:, :, 2], b[:, :, 2]
-        k1 = (az @ drow + bz @ dcol) / 4 + az @ c / 2 + bz @ e / 2
-        k2 = (np.sum((a[:, :, 0] @ d) * b[:, :, 0], axis=1)
-              - np.sum((a[:, :, 1] @ d) * b[:, :, 1], axis=1)) / 4
+        # k0 + zz + k1 cos(2t) + k2 sin(2t), maximized over [0, pi/4]
+        k1, k2, _ = coefficients
         phi = np.arctan2(k2, k1)
         interior = (phi > 0.0) & (phi < math.pi / 2)
         peak = np.where(interior, k1 * np.cos(phi) + k2 * np.sin(phi), -np.inf)
         # ties go to theta = 0, then pi/4, then the interior peak
         theta = np.where(peak > np.maximum(k1, k2), phi / 2, np.where(k2 > k1, QUARTER_PI, 0.0))
-    return a, b, theta
+    return a, b, theta, _value_at(k0, coefficients, theta)
 
 
-def _batch_values(d, c, e, a, b, theta):
-    joint, pa, pb = _born(theta, a, b)
-    return np.einsum("rxy,xy->r", joint, d) + pa @ c + pb @ e
+def _newton_model(w, ua, ub, a, b, theta, free_theta):
+    """Gradient g and Hessian H of the functional at one restart, in the
+    coordinates that the polish steps in.
+
+    a is (na, 3) and b is (nb, 3).  Each vector v moves by a step delta in
+    its tangent plane through the retraction v -> (v + delta)/|v + delta|,
+    and theta follows as the last coordinate when free_theta.  With r the
+    block gradient of _block_coefficients and P = I - v v^T, the gradient
+    is P r, and the Hessian has the blocks w[x, y] P_a diag(s, -s, 1) P_b
+    between Alice's x and Bob's y (s = sin 2 theta) and -(r . v) P on each
+    vector, the retraction's curvature.  Each vector's normal direction is
+    an exact zero of g and H.
+    """
+    na, nv = len(a), len(a) + len(b)
+    n = 3 * nv
+    ct, st = math.cos(2 * theta), math.sin(2 * theta)
+    trig = np.array([[ct]]), np.array([[st]])
+    v = np.concatenate((a, b))
+    r = np.concatenate((_block_coefficients(w, ua, b[None], *trig)[0],
+                        _block_coefficients(w.T, ub, a[None], *trig)[0]))
+    radial = np.einsum("ij,ij->i", r, v)
+    proj = np.eye(3) - v[:, :, None] * v[:, None, :]
+    hv = np.zeros((nv, 3, nv, 3))
+    cross = (proj[:na, None] * [st, -st, 1.0]) @ proj[None, na:]  # (na, nb, 3, 3)
+    hv[:na, :, na:] = cross.transpose(0, 2, 1, 3) * w[:, None, :, None]
+    hv[na:, :, :na] = hv[:na, :, na:].transpose(2, 3, 0, 1)
+    hv[np.arange(nv), :, np.arange(nv)] = -radial[:, None, None] * proj
+    g = (r - radial[:, None] * v).ravel()
+    if not free_theta:
+        return g, hv.reshape(n, n)
+    # d/dtheta of r: sin 2t -> 2 cos 2t and cos 2t -> -2 sin 2t
+    r_theta = np.concatenate((w @ b, w.T @ a)) * [2 * ct, -2 * ct, 0.0]
+    r_theta[:, 2] = -2 * st * np.concatenate((ua, ub))
+    k1, k2, _ = _theta_coefficients(w, ua, ub, a[None], b[None])
+    h = np.empty((n + 1, n + 1))
+    h[:n, :n] = hv.reshape(n, n)
+    h[n, :n] = h[:n, n] = (r_theta - np.einsum("ij,ij->i", r_theta, v)[:, None] * v).ravel()
+    h[n, n] = -4 * (ct * k1[0] + st * k2[0])
+    return np.append(g, 2 * (ct * k2[0] - st * k1[0])), h
+
+
+def _negative_definite(h, mu):
+    """Whether mu I - H has a Cholesky factor, i.e. H < mu I."""
+    try:
+        np.linalg.cholesky(mu * np.eye(len(h)) - h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale, steps):
+    """Damped Newton ascent of one restart from (a, b, theta), which has
+    the given value, in at most ``steps`` steps.
+
+    It stops once the gradient norm is below tol * scale, and the restart
+    is certified when H is then also below 1e-9 * scale, which leaves room
+    for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  A theta at
+    0 or pi/4 whose gradient points out of the range is held there.  Each
+    step solves (mu I - H) delta = g, with mu raised tenfold from the
+    larger of |g| and 1e-9 * scale until mu I - H is positive definite
+    (Levenberg-Marquardt), and takes the longest of the steps delta,
+    delta/2, delta/4, ... that does not lower the value by more than
+    rounding.  Returns (a, b, theta, value, certified).
+    """
+    floor = 1e-9 * scale
+    na, n = len(a), 3 * (len(a) + len(b))
+    for step in range(steps + 1):
+        g, h = _newton_model(w, ua, ub, a, b, theta, free_theta)
+        if free_theta and (theta <= 0.0 and g[n] <= 0.0 or theta >= QUARTER_PI and g[n] >= 0.0):
+            g, h = g[:n], h[:n, :n]  # theta held at its bound
+        gnorm = np.linalg.norm(g)
+        if gnorm < tol * scale:
+            return a, b, theta, value, _negative_definite(h, floor)
+        if step == steps:
+            break
+        mu = max(floor, gnorm)
+        while not _negative_definite(h, mu):
+            mu *= 10
+        delta = np.linalg.solve(mu * np.eye(len(g)) - h, g)
+        moved = np.concatenate((a, b)) + _HALVINGS[:, None, None] * delta[:n].reshape(-1, 3)
+        moved /= np.linalg.norm(moved, axis=2, keepdims=True)
+        thetas = np.full(len(_HALVINGS), theta)
+        if len(g) > n:
+            thetas = np.clip(theta + _HALVINGS * delta[n], 0.0, QUARTER_PI)
+        values = _batch_values(w, ua, ub, k0, moved[:, :na], moved[:, na:], thetas)
+        rises = values >= value - 16 * np.finfo(float).eps * scale  # rounding's reach
+        if not rises.any():
+            break
+        k = int(np.argmax(rises))
+        a, b, theta, value = moved[k, :na], moved[k, na:], float(thetas[k]), values[k]
+    return a, b, theta, value, False
 
 
 def _random_units(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -193,14 +308,23 @@ def quantum_bound(
     tol: float = 1e-10,
     max_sweeps: int = 2000,
 ) -> QuantumBoundResult:
-    """Multi-restart see-saw maximization of the functional.
+    """Multi-restart see-saw maximization of the functional, polished by
+    Newton steps.
 
     Vectors start uniform on the sphere and theta uniform on [0, pi/4]
     unless ``fix_theta`` pins it (pi/4 for maximally entangled analyses).
-    A restart stops when a sweep improves its value by less than ``tol``
-    or after ``max_sweeps``.  Deterministic for a fixed seed; the best
-    value across restarts is returned, ties resolved to the earliest
-    restart.  The result is a lower bound on the true quantum maximum.
+    First every restart is swept, at most min(max_sweeps, SWEEP_CAP)
+    times; a restart stops when a sweep improves its value by less than
+    ``tol``.  Then the best POLISHED restarts whose values lie more than
+    1e-9 apart take damped Newton steps, at most
+    min(POLISH_STEPS, max_sweeps - sweeps) each, so ``max_sweeps`` bounds
+    sweeps plus Newton steps per restart.  The best polished restart is
+    returned, ties resolved to the earliest restart.  ``converged`` is
+    True when it is a certified local maximum: its gradient norm is below
+    tol * scale, with scale = 1 + sum|d|/4 + sum|c|/2 + sum|e|/2, and its
+    Hessian is negative semidefinite up to 1e-9 * scale.  Deterministic
+    for a fixed seed.  The result is a lower bound on the true quantum
+    maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -219,20 +343,37 @@ def quantum_bound(
     else:
         theta = np.full(restarts, float(fix_theta))
 
-    d, c, e, drow, dcol = _functional(table)
-    values = _batch_values(d, c, e, a, b, theta)
+    f = _functional(table)
+    scale = 1 + np.abs(table.d).sum() / 4 + np.abs(table.c).sum() / 2 + np.abs(table.e).sum() / 2
+    values = _batch_values(*f, a, b, theta)
     converged = np.zeros(restarts, dtype=bool)
-    for _ in range(max_sweeps):
+    sweeps = 0
+    while sweeps < min(max_sweeps, SWEEP_CAP) and not converged.all():
         # converged restarts are swept too, so BLAS keeps the kernels it picked for this batch size
-        new_a, new_b, new_theta = _batch_sweep(d, c, e, drow, dcol, a, b, theta, update_theta)
-        new_values = _batch_values(d, c, e, new_a, new_b, new_theta)
+        new_a, new_b, new_theta, new_values = _batch_sweep(*f, a, b, theta, update_theta)
+        sweeps += 1
         live = ~converged
-        a[live], b[live], theta[live] = new_a[live], new_b[live], new_theta[live]
-        converged[live] = new_values[live] - values[live] < tol
-        values[live] = new_values[live]
-        if converged.all():
-            break
+        converged |= new_values - values < tol
+        np.copyto(a, new_a, where=live[:, None, None])
+        np.copyto(b, new_b, where=live[:, None, None])
+        np.copyto(theta, new_theta, where=live)
+        np.copyto(values, new_values, where=live)
 
-    best = int(np.argmax(values))  # argmax takes the earliest on ties
+    # polish the best restarts, skipping any within 1e-9 of one already taken
+    order = np.argsort(-values, kind="stable")
+    ranked = -values[order]
+    taken: list[int] = []
+    i = 0
+    while i < restarts and len(taken) < POLISHED:
+        taken.append(int(order[i]))
+        i = int(np.searchsorted(ranked, ranked[i] + 1e-9, side="right"))
+    certified = np.zeros(restarts, dtype=bool)
+    for r in taken:
+        a[r], b[r], theta[r], values[r], certified[r] = _polish(
+            *f, a[r], b[r], theta[r], values[r], update_theta, tol, scale,
+            min(POLISH_STEPS, max_sweeps - sweeps),
+        )
+
+    best = min(taken, key=lambda r: (-values[r], r))  # the earliest on ties
     strategy = QuantumStrategy(float(theta[best]), a[best], b[best])
-    return QuantumBoundResult(float(values[best]), strategy, bool(converged[best]))
+    return QuantumBoundResult(float(values[best]), strategy, bool(certified[best]))

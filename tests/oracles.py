@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the package.
 
 Everything here deliberately avoids the code paths under test: probabilities
-come from explicit 4x4 density-matrix algebra, bounds from brute-force
+and Bell operators come from explicit 4x4 matrix algebra, bounds from brute-force
 enumeration over behaviors, thresholds from bisection, ranks from floating
 point SVD.  Facet checks and no-click values are the earlier per-vertex and
 per-assignment Fraction formulas, kept here as references for the integer
@@ -46,6 +46,27 @@ def marginal_trace_a(theta: float, a) -> float:
 def marginal_trace_b(theta: float, b) -> float:
     psi = _psi(theta)
     return float(np.real(psi.conj() @ np.kron(_I2, _projector(b)) @ psi))
+
+
+# Two-qubit maxima of the fixtures in closed form, matched numerically to the
+# see-saw and the Bell-operator bound below, not quoted from the paper.
+QUANTUM_CLOSED_FORMS = {
+    "CHSH": (math.sqrt(2) - 1) / 2,
+    "I3322": 0.25,
+    "I3422_1": math.sqrt(5),
+    "I3422_3": 2 + (math.sqrt(15) - 3) / 2,
+}
+
+
+def bell_operator(table: CgTable, a_vecs, b_vecs) -> np.ndarray:
+    """The 4x4 operator whose expectation in any two-qubit state is the
+    functional's value at the projective measurements (1 + v.sigma)/2."""
+    alice = [_projector(v) for v in a_vecs]
+    bob = [_projector(v) for v in b_vecs]
+    op = sum(int(table.d[x, y]) * np.kron(alice[x], bob[y])
+             for x in range(len(alice)) for y in range(len(bob)))
+    op = op + sum(int(table.c[x]) * np.kron(alice[x], _I2) for x in range(len(alice)))
+    return op + sum(int(table.e[y]) * np.kron(_I2, bob[y]) for y in range(len(bob)))
 
 
 def local_bound_bruteforce(table: CgTable) -> float:

@@ -1,6 +1,7 @@
 """The analysis pipeline end to end: the bundled reference, worker counts,
 the three report formats, and invariance of the report under relabelings."""
 
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -88,7 +89,7 @@ def test_pool_is_sized_to_the_rows(fixture_file, fixture_report, monkeypatch):
         sizes.append(max_workers)
         return ThreadPoolExecutor(max_workers)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     code, report, err = cli("analyze", "--input", str(fixture_file), "--workers", "64")
     assert (code, report, err) == (0, fixture_report, "")
     assert sizes == [len(all_fixtures())]
@@ -105,7 +106,7 @@ def test_a_failed_row_leaves_the_others(fixture_file, fixture_report, monkeypatc
 
     monkeypatch.setattr(analysis, "analyze_table", fail_row_2)
     # threads stand in for the worker processes, which would not see the patch
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     code, report, err = cli("analyze", "--input", str(fixture_file), "--workers", workers)
     header, *rows = fixture_report.splitlines()
     assert (code, err) == (1, "row 2 (I3322) failed: boom\n")

@@ -61,10 +61,13 @@ def test_benchmark_hooks_resolve(spans):
 
 
 def test_cli_loads_no_undeclared_module():
-    # numpy is the only runtime dependency; scipy may be installed but is not declared
+    # numpy is the only runtime dependency; scipy may be installed but is not
+    # declared.  The process pool is loaded only when --workers asks for one.
     code = "import sys, cgbell.cli; print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    loaded = {name.split(".")[0] for name in run.stdout.split()}
-    assert loaded.isdisjoint({"scipy", "pytest", "hypothesis"})
+    modules = set(run.stdout.split())
+    loaded = {name.split(".")[0] for name in modules}
+    assert loaded.isdisjoint({"scipy", "pytest", "hypothesis", "multiprocessing"})
+    assert "concurrent.futures.process" not in modules
