@@ -322,8 +322,11 @@ def compare_reports(
     are compared only when ``normalized`` is off; with it, the
     normalisation-independent pairs L - N and Q - L are compared instead,
     which is what allows checking against references using a shifted form
-    of the same inequality.  A compared cell that is not a number raises
-    ValueError, also when the other table leaves that cell empty.
+    of the same inequality.  A value the reference has and the report
+    lacks (no column, an empty cell, no raw columns to derive it from) is
+    a structural issue; one the reference lacks is not compared.  A
+    compared cell that is not a number raises ValueError, also when the
+    other table leaves that cell empty.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -337,9 +340,13 @@ def compare_reports(
         if name != ref_name:
             structural.append(f"name mismatch at index {row.get('index')}: {name!r} vs {ref_name!r}")
             continue
+        missing = []
         for col in (*INVARIANT_COLUMNS, *(_SHIFTS if normalized else ("L", "N", "Q"))):
             a, b = _value(row, col), _value(ref, col)
-            if a is None or b is None:
+            if b is None:
+                continue
+            if a is None:
+                missing.append(col)
                 continue
             diffs.append(
                 ColumnDiff(
@@ -352,6 +359,8 @@ def compare_reports(
                     tol=tols.get(col, 1e-6),
                 )
             )
+        if missing:
+            structural.append(f"missing at index {row.get('index')}: {', '.join(missing)}")
     return CompareResult(diffs, structural)
 
 

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 tolerance/diff or per-row failure, 2 input error
 (a bad option value included).  `analyze` warns on standard error about each
-row whose see-saw stopped at its sweep limit; the exit code ignores it.
+row whose see-saw did not reach a certified local maximum; the exit code
+ignores it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _cmd_analyze(args) -> int:
         if not r.converged:
             print(
                 f"warning: row {r.index} ({r.name or 'unnamed'}): "
-                "see-saw stopped at its sweep limit before converging",
+                "see-saw did not reach a certified local maximum",
                 file=sys.stderr,
             )
     for f in failures:

@@ -66,15 +66,15 @@ def _int_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    if arr.dtype != np.int64:
-        # bound the values before a cast to int64 could wrap them
-        if np.any((arr > MAX_COEFFICIENT) | (arr < -MAX_COEFFICIENT)):
-            raise ValueError(f"{what} entries must lie within +-2**44")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.array_equal(arr, rounded):
-                raise ValueError(f"{what} must contain integers only")
-            arr = rounded
+    # bound the values before a cast to int64 could wrap them; numpy
+    # compares integers of every width exactly, int64's minimum included
+    if arr.max() > MAX_COEFFICIENT or arr.min() < -MAX_COEFFICIENT:
+        raise ValueError(f"{what} entries must lie within +-2**44")
+    if arr.dtype.kind not in "iu":  # neither a signed nor an unsigned integer
+        rounded = np.rint(arr)
+        if not np.array_equal(arr, rounded):
+            raise ValueError(f"{what} must contain integers only")
+        arr = rounded
     arr = arr.astype(np.int64)
     arr.flags.writeable = False
     return arr
@@ -101,11 +101,6 @@ class CgTable:
         object.__setattr__(self, "d", _int_array(self.d, (na, nb), "d"))
         object.__setattr__(self, "c", _int_array(self.c, (na,), "c"))
         object.__setattr__(self, "e", _int_array(self.e, (nb,), "e"))
-        # one pass over all int64 coefficients; abs(-2**63) wraps to itself,
-        # which the unsigned view reads as 2**63
-        coefficients = np.concatenate((self.d.ravel(), self.c, self.e))
-        if np.abs(coefficients).view(np.uint64).max() > MAX_COEFFICIENT:
-            raise ValueError("coefficients must lie within +-2**44")
         if not isinstance(self.bound, (int, np.integer)):
             raise ValueError(f"bound must be an integer, got {self.bound!r}")
         if abs(int(self.bound)) > MAX_COEFFICIENT:
@@ -161,9 +156,10 @@ class Behavior:
 
     def __post_init__(self):
         na, nb = self.scenario.na, self.scenario.nb
-        joint = np.asarray(self.joint, dtype=float)
-        ma = np.asarray(self.marg_a, dtype=float)
-        mb = np.asarray(self.marg_b, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        joint = np.array(self.joint, dtype=float)
+        ma = np.array(self.marg_a, dtype=float)
+        mb = np.array(self.marg_b, dtype=float)
         if joint.shape != (na, nb) or ma.shape != (na,) or mb.shape != (nb,):
             raise ValueError("behavior arrays do not match the scenario shape")
         if not (np.all(np.isfinite(joint)) and np.all(np.isfinite(ma)) and np.all(np.isfinite(mb))):

@@ -16,18 +16,18 @@ value never decreases.
 One batched sweep steps all restarts in lockstep: quantum_bound runs it
 on every restart at once and seesaw_step on a batch of one, so each
 restart follows the same kernel either way (not always to the last bit,
-as BLAS picks its kernels by batch size).  For the same reason a restart
-that has converged stays in the batch and is swept on, but keeps its state.
+as BLAS picks its kernels by batch size).
 
 quantum_bound works in two phases.  The sweeps, at most SWEEP_CAP of them,
-bring every restart near a local maximum; a restart whose sweep gains less
-than tol is frozen there.  Sweeps alone crawl near some maxima (I3422_1
-took 1305 of them and still ended 7e-9 below sqrt(5)), so the best few
-restarts are then polished by damped Newton steps on the sphere in
-(theta, a, b) with the analytic gradient and Hessian (Absil, Mahony and
-Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4-7),
-which stop at a certified local maximum: the gradient below tolerance and
-the Hessian negative semidefinite up to the gauge's zero modes.
+bring every restart near a local maximum; they stop once each restart has
+had a sweep that gained less than tol.  Sweeps alone crawl near some
+maxima (I3422_1 took 1305 of them and still ended 7e-9 below sqrt(5)), so
+the best few restarts are then polished by damped Newton steps on the
+sphere in (theta, a, b) with the analytic gradient and Hessian (Absil,
+Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+ch. 4-7), which stop at a certified local maximum: the gradient below
+tolerance and the Hessian negative semidefinite up to the gauge's zero
+modes.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ class QuantumStrategy:
         if not -_UNIT_TOL <= theta <= QUARTER_PI + _UNIT_TOL:
             raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
         theta = min(max(theta, 0.0), QUARTER_PI)
-        a = np.atleast_2d(np.asarray(self.a_vecs, dtype=float))
-        b = np.atleast_2d(np.asarray(self.b_vecs, dtype=float))
+        # copies, so that freezing them leaves the caller's arrays writeable
+        a = np.atleast_2d(np.array(self.a_vecs, dtype=float))
+        b = np.atleast_2d(np.array(self.b_vecs, dtype=float))
         for arr, what in ((a, "a_vecs"), (b, "b_vecs")):
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{what} must have shape (n, 3)")
@@ -252,9 +253,9 @@ def _negative_definite(h, mu):
     return True
 
 
-def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale, steps):
+def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale):
     """Damped Newton ascent of one restart from (a, b, theta), which has
-    the given value, in at most ``steps`` steps.
+    the given value, in at most POLISH_STEPS steps.
 
     It stops once the gradient norm is below tol * scale, and the restart
     is certified when H is then also below 1e-9 * scale, which leaves room
@@ -268,14 +269,14 @@ def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale, steps):
     """
     floor = 1e-9 * scale
     na, n = len(a), 3 * (len(a) + len(b))
-    for step in range(steps + 1):
+    for step in range(POLISH_STEPS + 1):
         g, h = _newton_model(w, ua, ub, a, b, theta, free_theta)
         if free_theta and (theta <= 0.0 and g[n] <= 0.0 or theta >= QUARTER_PI and g[n] >= 0.0):
             g, h = g[:n], h[:n, :n]  # theta held at its bound
         gnorm = np.linalg.norm(g)
         if gnorm < tol * scale:
             return a, b, theta, value, _negative_definite(h, floor)
-        if step == steps:
+        if step == POLISH_STEPS:
             break
         mu = max(floor, gnorm)
         while not _negative_definite(h, mu):
@@ -306,25 +307,22 @@ def quantum_bound(
     restarts: int = 50,
     seed: int = 0,
     tol: float = 1e-10,
-    max_sweeps: int = 2000,
 ) -> QuantumBoundResult:
     """Multi-restart see-saw maximization of the functional, polished by
     Newton steps.
 
     Vectors start uniform on the sphere and theta uniform on [0, pi/4]
     unless ``fix_theta`` pins it (pi/4 for maximally entangled analyses).
-    First every restart is swept, at most min(max_sweeps, SWEEP_CAP)
-    times; a restart stops when a sweep improves its value by less than
-    ``tol``.  Then the best POLISHED restarts whose values lie more than
-    1e-9 apart take damped Newton steps, at most
-    min(POLISH_STEPS, max_sweeps - sweeps) each, so ``max_sweeps`` bounds
-    sweeps plus Newton steps per restart.  The best polished restart is
-    returned, ties resolved to the earliest restart.  ``converged`` is
-    True when it is a certified local maximum: its gradient norm is below
-    tol * scale, with scale = 1 + sum|d|/4 + sum|c|/2 + sum|e|/2, and its
-    Hessian is negative semidefinite up to 1e-9 * scale.  Deterministic
-    for a fixed seed.  The result is a lower bound on the true quantum
-    maximum.
+    First all restarts are swept together, until every one of them has
+    had a sweep that improved its value by less than ``tol``, or SWEEP_CAP
+    times.  Then the best POLISHED restarts whose values lie more than
+    1e-9 apart take at most POLISH_STEPS damped Newton steps each.  The
+    best polished restart is returned, ties resolved to the earliest
+    restart.  ``converged`` is True when it is a certified local maximum:
+    its gradient norm is below tol * scale, with scale = 1 + sum|d|/4 +
+    sum|c|/2 + sum|e|/2, and its Hessian is negative semidefinite up to
+    1e-9 * scale.  Deterministic for a fixed seed.  The result is a lower
+    bound on the true quantum maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -346,18 +344,13 @@ def quantum_bound(
     f = _functional(table)
     scale = 1 + np.abs(table.d).sum() / 4 + np.abs(table.c).sum() / 2 + np.abs(table.e).sum() / 2
     values = _batch_values(*f, a, b, theta)
-    converged = np.zeros(restarts, dtype=bool)
-    sweeps = 0
-    while sweeps < min(max_sweeps, SWEEP_CAP) and not converged.all():
-        # converged restarts are swept too, so BLAS keeps the kernels it picked for this batch size
-        new_a, new_b, new_theta, new_values = _batch_sweep(*f, a, b, theta, update_theta)
-        sweeps += 1
-        live = ~converged
-        converged |= new_values - values < tol
-        np.copyto(a, new_a, where=live[:, None, None])
-        np.copyto(b, new_b, where=live[:, None, None])
-        np.copyto(theta, new_theta, where=live)
-        np.copyto(values, new_values, where=live)
+    done = np.zeros(restarts, dtype=bool)
+    for _ in range(SWEEP_CAP):
+        a, b, theta, new_values = _batch_sweep(*f, a, b, theta, update_theta)
+        done |= new_values - values < tol
+        values = new_values
+        if done.all():
+            break
 
     # polish the best restarts, skipping any within 1e-9 of one already taken
     order = np.argsort(-values, kind="stable")
@@ -370,8 +363,7 @@ def quantum_bound(
     certified = np.zeros(restarts, dtype=bool)
     for r in taken:
         a[r], b[r], theta[r], values[r], certified[r] = _polish(
-            *f, a[r], b[r], theta[r], values[r], update_theta, tol, scale,
-            min(POLISH_STEPS, max_sweeps - sweeps),
+            *f, a[r], b[r], theta[r], values[r], update_theta, tol, scale
         )
 
     best = min(taken, key=lambda r: (-values[r], r))  # the earliest on ties

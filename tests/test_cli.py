@@ -1,4 +1,3 @@
-import functools
 import re
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from cgbell import (
     Scenario,
     all_fixtures,
-    analysis,
     apply_relabeling,
     canonical_form,
     chsh,
@@ -236,6 +234,29 @@ def test_compare_structural_mismatch_exits_1(tmp_path, capsys, edit, message):
     assert out[-1].endswith(": 1 failures")
 
 
+@pytest.mark.parametrize(
+    "mode,missing",
+    [
+        ([], "theta_over_pi, lambda, lambda_me, eta_sym, L, N, Q"),
+        (["--normalized"], "theta_over_pi, lambda, lambda_me, eta_sym, L_minus_N, Q_minus_L"),
+    ],
+)
+def test_compare_a_report_without_values_exits_1(fixture_file, tmp_path, capsys, mode, missing):
+    # a report of index and name only has none of the reference's values
+    assert main(["analyze", "--input", str(fixture_file)]) == 0
+    full = capsys.readouterr().out
+    reference, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+    reference.write_text(full, encoding="utf-8")
+    cut_lines = [",".join(line.split(",")[:2]) for line in full.splitlines()]
+    cut.write_text("\n".join(cut_lines) + "\n", encoding="utf-8")
+    assert main(["compare", "--input", str(cut), "--reference", str(reference), *mode]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        *(f"structural: missing at index {i}: {missing}" for i in range(1, 6)),
+        "compared 0 values: 5 failures",
+    ]
+
+
 @pytest.mark.parametrize("command", ["analyze", "canon"])
 def test_input_with_a_byte_order_mark_reads_as_without(fixture_file, tmp_path, capsys, command):
     bom = tmp_path / "bom.txt"
@@ -246,17 +267,16 @@ def test_input_with_a_byte_order_mark_reads_as_without(fixture_file, tmp_path, c
 
 
 def test_analyze_warns_about_an_unconverged_see_saw(fixture_file, capsys, monkeypatch):
-    # one sweep per restart: no row's best restart meets the tolerance
-    monkeypatch.setattr(
-        analysis, "quantum_bound", functools.partial(quantum.quantum_bound, max_sweeps=1)
-    )
+    # one sweep per restart and no Newton step: no row's best restart is certified
+    monkeypatch.setattr(quantum, "SWEEP_CAP", 1)
+    monkeypatch.setattr(quantum, "POLISH_STEPS", 0)
     fixtures = all_fixtures()
     assert main(["analyze", "--input", str(fixture_file)]) == 0
     out = capsys.readouterr()
     assert len(out.out.splitlines()) == 1 + len(fixtures)
     warnings = out.err.splitlines()
     assert warnings == [
-        f"warning: row {i} ({t.name}): see-saw stopped at its sweep limit before converging"
+        f"warning: row {i} ({t.name}): see-saw did not reach a certified local maximum"
         for i, t in enumerate(fixtures, start=1)
     ]
     assert not ROW_FAILURE.search(out.err)

@@ -118,6 +118,14 @@ class TestBehavior:
         with pytest.raises(ValueError):
             Behavior(Scenario(1, 1), joint=[[0.0]], marg_a=[0.7], marg_b=[0.7])
 
+    def test_caller_arrays_stay_writeable(self):
+        joint, ma, mb = np.full((2, 2), 0.25), np.full(2, 0.5), np.full(2, 0.5)
+        b = Behavior(Scenario(2, 2), joint, ma, mb)
+        for given, kept in ((joint, b.joint), (ma, b.marg_a), (mb, b.marg_b)):
+            assert given.flags.writeable and not kept.flags.writeable
+            given[0] = 0.0
+        assert np.all(b.joint == 0.25) and np.all(b.marg_a == 0.5) and np.all(b.marg_b == 0.5)
+
     def test_white_noise(self):
         b = Behavior.white_noise(Scenario(2, 3))
         assert np.all(b.joint == 0.25) and np.all(b.marg_a == 0.5)

@@ -75,6 +75,30 @@ def certified(table, s, free_theta, tol):
     return bool(np.linalg.norm(g) < tol * scale and np.linalg.eigvalsh(h).max() < 1e-9 * scale)
 
 
+def cap_work(monkeypatch, budget):
+    """Cap quantum_bound at ``budget`` sweeps plus Newton steps per restart,
+    spent on sweeps first: at most SWEEP_CAP of them, then POLISH_STEPS."""
+    sweeps = min(budget, SWEEP_CAP)
+    monkeypatch.setattr(quantum, "SWEEP_CAP", sweeps)
+    monkeypatch.setattr(quantum, "POLISH_STEPS", min(POLISH_STEPS, budget - sweeps))
+
+
+def replayed(table, fix_theta, restarts, seed, sweeps):
+    """quantum_bound's starting restarts, each swept alone ``sweeps`` times."""
+    draws = np.random.default_rng(seed)
+    a = _random_units(draws, (restarts, table.scenario.na))
+    b = _random_units(draws, (restarts, table.scenario.nb))
+    if fix_theta is None:
+        theta = draws.uniform(0.0, QUARTER_PI, size=restarts)
+    else:
+        theta = np.full(restarts, fix_theta)
+    for k in range(restarts):
+        s = QuantumStrategy(theta[k], a[k], b[k])
+        for _ in range(sweeps):
+            s = seesaw_step(table, s, update_theta=fix_theta is None)
+        yield s
+
+
 def random_strategy(rng, na, nb, theta=None):
     a = rng.normal(size=(na, 3))
     b = rng.normal(size=(nb, 3))
@@ -146,6 +170,14 @@ class TestQuantumStrategy:
     def test_unit_rows_required(self):
         with pytest.raises(ValueError):
             QuantumStrategy(0.1, np.array([[1.0, 1.0, 0.0]]), np.array([Z]))
+
+    def test_caller_arrays_stay_writeable(self):
+        a, b = np.array([Z, X]), np.array([X])
+        s = QuantumStrategy(0.3, a, b)
+        for given, kept, first in ((a, s.a_vecs, Z), (b, s.b_vecs, X)):
+            assert given.flags.writeable and not kept.flags.writeable
+            given[0, 0] = 5.0
+            np.testing.assert_array_equal(kept[0], first)
 
 
 class TestQuantumValue:
@@ -405,19 +437,21 @@ class TestQuantumBound:
                 quantum_bound(chsh_table, tol=tol)
 
 
-    @pytest.mark.parametrize("max_sweeps", [1, 3, 2000])
+    @pytest.mark.parametrize("budget", [1, 3, 2000])
     @pytest.mark.parametrize("fix_theta", [None, QUARTER_PI])
-    def test_strategy_reproduces_value(self, fixtures, fix_theta, max_sweeps):
+    def test_strategy_reproduces_value(self, fixtures, monkeypatch, fix_theta, budget):
         # the returned value and strategy must come from the same sweep
+        cap_work(monkeypatch, budget)
         for t in fixtures:
-            r = quantum_bound(t, fix_theta=fix_theta, restarts=20, seed=5, max_sweeps=max_sweeps)
+            r = quantum_bound(t, fix_theta=fix_theta, restarts=20, seed=5)
             assert abs(quantum_value(t, r.strategy) - r.value) <= 1e-12
 
-    @pytest.mark.parametrize("max_sweeps", [1, 3, 2000])
+    @pytest.mark.parametrize("budget", [1, 3, 2000])
     @pytest.mark.parametrize("fix_theta", [None, QUARTER_PI])
-    def test_best_of_restarts_run_one_at_a_time(self, fix_theta, max_sweeps):
+    def test_best_of_restarts_run_one_at_a_time(self, monkeypatch, fix_theta, budget):
         # the polish only climbs from the capped sweeps, and converged
         # means certified at the returned strategy
+        cap_work(monkeypatch, budget)
         restarts, seed, tol = 8, 3, 1e-10
         rng = np.random.default_rng(11)
         tables = [chsh(), i3322(), i3422_3()]
@@ -425,27 +459,41 @@ class TestQuantumBound:
             t = random_table(rng, na, nb)
             tables.append(CgTable(t.scenario, t.d, t.c, t.e, local_bound(t)))
         for t in tables:
-            draws = np.random.default_rng(seed)
-            a = _random_units(draws, (restarts, t.scenario.na))
-            b = _random_units(draws, (restarts, t.scenario.nb))
-            if fix_theta is None:
-                theta = draws.uniform(0.0, QUARTER_PI, size=restarts)
-            else:
-                theta = np.full(restarts, fix_theta)
-            best = -math.inf
-            for k in range(restarts):
-                s = QuantumStrategy(theta[k], a[k], b[k])
-                for _ in range(min(max_sweeps, SWEEP_CAP)):
-                    s = seesaw_step(t, s, update_theta=fix_theta is None)
-                best = max(best, quantum_value(t, s))
-            r = quantum_bound(
-                t, fix_theta=fix_theta, restarts=restarts, seed=seed, tol=tol, max_sweeps=max_sweeps
+            best = max(
+                quantum_value(t, s) for s in replayed(t, fix_theta, restarts, seed, quantum.SWEEP_CAP)
             )
+            r = quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed, tol=tol)
             assert r.value >= best - 1e-12
             assert r.converged == certified(t, r.strategy, fix_theta is None, tol)
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-4])
+    @pytest.mark.parametrize("fix_theta", [None, QUARTER_PI])
+    def test_sweeps_stop_once_every_restart_has_gained_less_than_tol(
+        self, fixtures, monkeypatch, fix_theta, tol
+    ):
+        # the reference: the first sweep after which each restart, swept
+        # alone, has gained less than tol at least once
+        calls = []
+        sweep = quantum._batch_sweep
+        monkeypatch.setattr(quantum, "_batch_sweep", lambda *args: calls.append(1) or sweep(*args))
+        restarts, seed = 8, 4
+        for t in fixtures:
+            first_small = []
+            for s in replayed(t, fix_theta, restarts, seed, 0):
+                for k in range(1, SWEEP_CAP + 1):
+                    stepped = seesaw_step(t, s, update_theta=fix_theta is None)
+                    if quantum_value(t, stepped) - quantum_value(t, s) < tol:
+                        break
+                    s = stepped
+                first_small.append(k)
+            calls.clear()
+            quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed, tol=tol)
+            assert len(calls) == max(first_small)
+
     @pytest.mark.parametrize("max_sweeps", [1, 5, 31, 45])
     def test_max_sweeps_bounds_sweeps_and_newton_steps(self, fixtures, monkeypatch, max_sweeps):
+        # max_sweeps is a budget of sweeps plus Newton steps, split by cap_work
+        cap_work(monkeypatch, max_sweeps)
         counts = []
         sweep, model = quantum._batch_sweep, quantum._newton_model
 
@@ -473,11 +521,11 @@ class TestQuantumBound:
         for t in fixtures[2:4]:
             counts.clear()
             steps.clear()
-            quantum_bound(t, restarts=20, seed=1, max_sweeps=max_sweeps)
+            quantum_bound(t, restarts=20, seed=1)
             sweeps = counts.count("sweep")
-            assert sweeps <= min(max_sweeps, SWEEP_CAP)
+            assert sweeps <= quantum.SWEEP_CAP
             assert 1 <= len(steps) <= POLISHED
-            assert all(s <= POLISH_STEPS and sweeps + s <= max_sweeps for s in steps)
+            assert all(s <= quantum.POLISH_STEPS and sweeps + s <= max_sweeps for s in steps)
 
     def test_zero_table_takes_theta_zero(self):
         # k1 = k2 = 0 and no interior peak: the tie goes to theta = 0
