@@ -325,8 +325,9 @@ def compare_reports(
     of the same inequality.  A value the reference has and the report
     lacks (no column, an empty cell, no raw columns to derive it from) is
     a structural issue; one the reference lacks is not compared.  A
-    compared cell that is not a number raises ValueError, also when the
-    other table leaves that cell empty.
+    comparison that compares no value at all checks nothing, so it is a
+    structural issue too.  A compared cell that is not a number raises
+    ValueError, also when the other table leaves that cell empty.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -361,6 +362,8 @@ def compare_reports(
             )
         if missing:
             structural.append(f"missing at index {row.get('index')}: {', '.join(missing)}")
+    if not diffs and not structural:
+        structural.append("no value compared: the reference has no compared cell")
     return CompareResult(diffs, structural)
 
 

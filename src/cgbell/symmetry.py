@@ -20,16 +20,26 @@ over the orbit, is found without walking the orbit.  Permutations and the
 swap keep the bound, so only flips at a maximal vertex are candidates.  The
 smallest c of a candidate is its c sorted, and the smallest e, for any
 order of Alice's rows, is its e sorted; so only candidates with the least
-(sorted c, sorted e) remain.  Alice's rows are then ordered only within
-runs of equal c, and for each such order one sort of Bob's columns by
-(e[y], d[0][y], ..., d[na-1][y]) gives the least d.  The cost is the number
-of distinct row orders within those runs: 1 when c has no ties, up to 8!
-for an 8x8 table whose c is constant and whose rows all differ.
+(sorted c, sorted e) remain, each with its rows sorted by c and its columns
+by e, and without duplicates.  Rows may then move only within runs of equal
+c, and columns only within classes that start as the runs of equal e.
+
+The least d is built one Alice row at a time, by a branch and bound over a
+frontier of states (candidate, rows used, column classes).  At level k each
+state is extended by each unused row in the run of c that holds position k.
+An extension shows that row sorted within each column class, the classes
+in order.  Only the extensions that show the least row survive, that row
+is row k of the answer, and each survivor splits its classes by it.  This
+is exact: d is compared row-major, so the answer's first k rows are the
+least k-row prefix, and all survivors show that prefix, so their classes
+have the same sizes.  Each level is one numpy pass over the frontier of all
+candidates together.  Its cost is the frontier size, the states whose
+prefix ties the least one: small unless the table has many automorphisms,
+which are not pruned (the 8x8 identity ends with 8! = 40,320 states).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +49,6 @@ import numpy as np
 
 from .localpoly import _bit_rows, _vertex_values
 from .model import CgTable, Scenario, ScenarioMismatchError
-
-# row orders compared per numpy batch in canonical_form (at most 8! = 40,320)
-_ORDER_CHUNK = 4096
-
 
 def _check_perm(perm: Sequence[int], what: str) -> tuple[int, ...]:
     p = tuple(int(v) for v in perm)
@@ -141,9 +147,7 @@ def random_relabeling(
 
 
 def _divide_by_content(table: CgTable) -> CgTable:
-    g = 0
-    for v in (*table.d.ravel().tolist(), *table.c.tolist(), *table.e.tolist(), table.bound):
-        g = math.gcd(g, abs(int(v)))
+    g = math.gcd(*table.d.ravel().tolist(), *table.c.tolist(), *table.e.tolist(), table.bound)
     if g <= 1:
         return table
     return CgTable(
@@ -151,35 +155,39 @@ def _divide_by_content(table: CgTable) -> CgTable:
     )
 
 
-def _row_orders(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Every distinct order of d's rows that keeps the sorted c sorted.
-
-    Rows move only within runs of equal c, and equal rows are never told
-    apart: each row is named by the first row equal to it, so an order is a
-    sequence of row indices in which equal rows share one index.
-    """
-    rows = d.tolist()
-    names = [rows.index(row) for row in rows]
-    edges = [0, *(np.flatnonzero(np.diff(c)) + 1).tolist(), len(rows)]
-    runs = [set(itertools.permutations(names[i:j])) for i, j in zip(edges, edges[1:])]
-    return np.array([sum(parts, ()) for parts in itertools.product(*runs)])
-
-
-def _least_d(c: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple[int, ...]:
-    """Least d row-major over the row orders that sort c and the column
-    orders that sort e."""
-    d = d[np.argsort(c, kind="stable")][:, np.argsort(e, kind="stable")]
-    c, e = np.sort(c), np.sort(e)
-    orders = _row_orders(c, d)
-    least = []
-    for start in range(0, len(orders), _ORDER_CHUNK):
-        rows = d[orders[start : start + _ORDER_CHUNK]]
-        # for fixed rows the least d sorts the columns by (e[y], d[0][y], ...)
-        keys = [rows[:, x, :] for x in reversed(range(rows.shape[1]))]
-        columns = np.lexsort([*keys, np.broadcast_to(e, rows[:, 0, :].shape)], axis=-1)
-        flat = np.take_along_axis(rows, columns[:, None, :], axis=2).reshape(len(rows), -1)
-        least.append(tuple(flat[np.lexsort(flat.T[::-1])[0]].tolist()))
-    return min(least)
+def _least_rows(c: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Least d row-major over the candidates ``d`` (k, na, nb), rows sorted by
+    c and columns by e, by the branch and bound of the module docstring."""
+    k, na, nb = d.shape
+    off = int(np.abs(d).max())
+    span = 2 * off + 1  # a key class * span + value + off is exact in int64
+    flat = d.reshape(k * na, nb)
+    # a state is (index into d, free rows, keys): equal rows go in index
+    # order, and column na of free is a sink for a row with no equal successor
+    same = (d[:, :, None, :] == d[:, None, :, :]).all(axis=3)
+    after = np.where(np.triu(same, 1), np.arange(na), na).min(axis=2)
+    free = np.hstack([~np.tril(same, -1).any(axis=2), np.ones((k, 1), dtype=bool)])
+    cand, least = np.arange(k), np.empty((na, nb), dtype=np.int64)
+    best, keys = e, np.broadcast_to(e, (k, nb))  # classes start as the runs of e
+    for x in range(na):
+        # a column's class is named by its key's first position in the
+        # shown row; every state shows the same row, so one list names all
+        base = np.searchsorted(best, keys) * span + off
+        # row x of the answer comes from the run of equal c that holds x
+        state, row = np.nonzero(free[:, :na] & (c == c[x]))
+        keys = base[state] + flat[cand[state] * na + row]
+        shown = np.sort(keys, axis=1)
+        keep = np.ones(len(shown), dtype=bool)
+        for col in shown.T:
+            keep &= col == col[keep].min()
+        best = shown[keep.argmax()]
+        least[x] = best % span - off
+        state, row, keys = state[keep], row[keep], keys[keep]
+        cand, free = cand[state], free[state]
+        at = np.arange(len(row))
+        free[at, row] = False
+        free[at, after[cand, row]] = True
+    return least
 
 
 def canonical_form(table: CgTable) -> CgTable:
@@ -188,10 +196,10 @@ def canonical_form(table: CgTable) -> CgTable:
     The overall positive scale is normalised away first by dividing out the
     gcd of all coefficients and the bound.  Two tables are equivalent iff
     their canonical forms are identical.  The key is (bound, c, e, d
-    row-major); the module docstring gives the algorithm.  Its cost is the
-    number of distinct orders of Alice's rows within runs of equal c, so it
-    is exponential only for highly symmetric tables (up to 8! orders at
-    8x8, when c is constant and the rows all differ).
+    row-major).  The module docstring gives the algorithm: one numpy pass
+    per Alice row over all candidates at once, whose cost is the number of
+    states whose d prefix ties the least one at that row.  A relabeled c or
+    e past MAX_COEFFICIENT raises ValueError.
     """
     t = _divide_by_content(table)
     na, nb = t.scenario.na, t.scenario.nb
@@ -211,20 +219,12 @@ def canonical_form(table: CgTable) -> CgTable:
     keys = np.hstack([np.sort(c, axis=1), np.sort(e, axis=1)])
     least = keys[np.lexsort(keys.T[::-1])[0]]
     keep = (keys == least).all(axis=1)
-    triples = np.hstack([c[keep], e[keep], d[keep].reshape(-1, na * nb)])
-    candidates = np.array(sorted(set(map(tuple, triples.tolist()))))
-    best_d = min(
-        _least_d(row[:na], row[na : na + nb], row[na + nb :].reshape(na, nb))
-        for row in candidates
-    )
-    return CgTable(
-        t.scenario,
-        np.reshape(best_d, (na, nb)),
-        least[:na],
-        least[na:],
-        t.bound - int(top),
-        None,
-    )
+    rows = np.argsort(c[keep], axis=1, kind="stable")[:, :, None]
+    cols = np.argsort(e[keep], axis=1, kind="stable")[:, None, :]
+    d = d[keep][np.arange(keep.sum())[:, None, None], rows, cols]
+    distinct = np.array(sorted(set(map(tuple, d.reshape(len(d), -1).tolist()))))
+    best_d = _least_rows(least[:na], least[na:], distinct.reshape(-1, na, nb))
+    return CgTable(t.scenario, best_d, least[:na], least[na:], t.bound - int(top), None)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ enumeration over behaviors, thresholds from bisection, ranks from floating
 point SVD.  Facet checks and no-click values are the earlier per-vertex and
 per-assignment Fraction formulas, kept here as references for the integer
 kernels that replaced them, and canonical forms and correlator forms come
-from the earlier scans over the relabeling orbit.
+from the earlier scans over the relabeling orbit and the earlier enumeration
+of row orders.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from cgbell import Behavior, CgTable, evaluate
+from cgbell.localpoly import _bit_rows, _vertex_values
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -312,6 +314,102 @@ def canonical_form_scan(table: CgTable) -> CgTable:
                             best = key
     bound, cp, ep, dp = best
     return CgTable(t.scenario, [list(row) for row in dp], list(cp), list(ep), bound, None)
+
+
+def _flipped(
+    table: CgTable, fa: np.ndarray, fb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(d, c, e, bound) of the table after each of a batch of outcome flips.
+
+    ``fa`` is a (k, na) and ``fb`` a (k, nb) 0/1 integer array; entry i of
+    every output belongs to the flips (fa[i], fb[i]).
+    """
+    sa, sb = 1 - 2 * fa, 1 - 2 * fb
+    fa_d = fa @ table.d
+    d = sa[:, :, None] * sb[:, None, :] * table.d
+    c = sa * (table.c + fb @ table.d.T)
+    e = sb * (table.e + fa_d)
+    bound = table.bound - fa @ table.c - fb @ table.e - (fa_d * fb).sum(axis=1)
+    return d, c, e, bound
+
+
+def _row_orders(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Every distinct order of d's rows that keeps the sorted c sorted.
+
+    Rows move only within runs of equal c, and equal rows are never told
+    apart: each row is named by the first row equal to it, so an order is a
+    sequence of row indices in which equal rows share one index.
+    """
+    rows = d.tolist()
+    names = [rows.index(row) for row in rows]
+    edges = [0, *(np.flatnonzero(np.diff(c)) + 1).tolist(), len(rows)]
+    runs = [set(itertools.permutations(names[i:j])) for i, j in zip(edges, edges[1:])]
+    return np.array([sum(parts, ()) for parts in itertools.product(*runs)])
+
+
+# row orders compared per numpy batch in _least_d (at most 8! = 40,320)
+_ORDER_CHUNK = 4096
+
+
+def _least_d(c: np.ndarray, e: np.ndarray, d: np.ndarray) -> tuple[int, ...]:
+    """Least d row-major over the row orders that sort c and the column
+    orders that sort e."""
+    d = d[np.argsort(c, kind="stable")][:, np.argsort(e, kind="stable")]
+    c, e = np.sort(c), np.sort(e)
+    orders = _row_orders(c, d)
+    least = []
+    for start in range(0, len(orders), _ORDER_CHUNK):
+        rows = d[orders[start : start + _ORDER_CHUNK]]
+        # for fixed rows the least d sorts the columns by (e[y], d[0][y], ...)
+        keys = [rows[:, x, :] for x in reversed(range(rows.shape[1]))]
+        columns = np.lexsort([*keys, np.broadcast_to(e, rows[:, 0, :].shape)], axis=-1)
+        flat = np.take_along_axis(rows, columns[:, None, :], axis=2).reshape(len(rows), -1)
+        least.append(tuple(flat[np.lexsort(flat.T[::-1])[0]].tolist()))
+    return min(least)
+
+
+def canonical_form_orders(table: CgTable) -> CgTable:
+    """The canonical form by the earlier search: the same candidates as
+    cgbell's (flips at the maximal vertices, the swap, the least sorted c
+    and e), then every distinct order of Alice's rows within runs of equal
+    c, each with its least column order.  Up to 8! orders per candidate."""
+    g = 0
+    for v in (*table.d.ravel().tolist(), *table.c.tolist(), *table.e.tolist(), table.bound):
+        g = math.gcd(g, abs(int(v)))
+    t = table
+    if g > 1:
+        t = CgTable(table.scenario, table.d // g, table.c // g, table.e // g, table.bound // g)
+    na, nb = t.scenario.na, t.scenario.nb
+    values = _vertex_values(t)
+    top = values.max()
+    ia, ib = np.nonzero(values == top)
+    fa, fb = _bit_rows(na)[ia], _bit_rows(nb)[ib]
+    # flipping a setting without coefficients changes nothing
+    idle_a = (t.c == 0) & ~t.d.any(axis=1)
+    idle_b = (t.e == 0) & ~t.d.any(axis=0)
+    busy = ~fa[:, idle_a].any(axis=1) & ~fb[:, idle_b].any(axis=1)
+    d, c, e, _ = _flipped(t, fa[busy], fb[busy])
+    if na == nb:  # the swap adds (d^T, e, c) for every flip
+        d = np.concatenate([d, d.transpose(0, 2, 1)])
+        c, e = np.concatenate([c, e]), np.concatenate([e, c])
+    # the least c and e a candidate reaches are its c and e sorted
+    keys = np.hstack([np.sort(c, axis=1), np.sort(e, axis=1)])
+    least = keys[np.lexsort(keys.T[::-1])[0]]
+    keep = (keys == least).all(axis=1)
+    triples = np.hstack([c[keep], e[keep], d[keep].reshape(-1, na * nb)])
+    candidates = np.array(sorted(set(map(tuple, triples.tolist()))))
+    best_d = min(
+        _least_d(row[:na], row[na : na + nb], row[na + nb :].reshape(na, nb))
+        for row in candidates
+    )
+    return CgTable(
+        t.scenario,
+        np.reshape(best_d, (na, nb)),
+        least[:na],
+        least[na:],
+        t.bound - int(top),
+        None,
+    )
 
 
 def correlation_form_search(table: CgTable):

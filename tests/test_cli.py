@@ -242,7 +242,8 @@ def test_compare_structural_mismatch_exits_1(tmp_path, capsys, edit, message):
     ],
 )
 def test_compare_a_report_without_values_exits_1(fixture_file, tmp_path, capsys, mode, missing):
-    # a report of index and name only has none of the reference's values
+    # a report of index and name only has none of the reference's values,
+    # and a reference of index and name only checks none of the report's
     assert main(["analyze", "--input", str(fixture_file)]) == 0
     full = capsys.readouterr().out
     reference, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
@@ -254,6 +255,11 @@ def test_compare_a_report_without_values_exits_1(fixture_file, tmp_path, capsys,
     assert out == [
         *(f"structural: missing at index {i}: {missing}" for i in range(1, 6)),
         "compared 0 values: 5 failures",
+    ]
+    assert main(["compare", "--input", str(reference), "--reference", str(cut), *mode]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "structural: no value compared: the reference has no compared cell",
+        "compared 0 values: 1 failures",
     ]
 
 

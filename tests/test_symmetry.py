@@ -34,6 +34,45 @@ GROUP_2X2 = [
 ]
 
 
+def at_local_bound(d, c, e) -> CgTable:
+    t = CgTable(Scenario(*np.shape(d)), d, c, e, 0)
+    return CgTable(t.scenario, t.d, t.c, t.e, local_bound(t))
+
+
+def circulant(rng, n) -> CgTable:
+    """A +-1 circulant d, with random c and e in {-1, 0, 1}."""
+    first = rng.choice([-1, 1], size=n)
+    d = np.array([np.roll(first, k) for k in range(n)])
+    return at_local_bound(d, rng.integers(-1, 2, size=n), rng.integers(-1, 2, size=n))
+
+
+def constant_c(rng, n) -> CgTable:
+    d = rng.integers(-1, 2, size=(n, n))
+    return at_local_bound(d, np.full(n, int(rng.integers(-1, 2))), rng.integers(-1, 2, size=n))
+
+
+def hadamard_8x8() -> CgTable:
+    """The 8x8 Sylvester-Hadamard correlator table: d = 2H, c = -H 1, e = -H^T 1."""
+    h = np.array([[1]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    return at_local_bound(2 * h, -h.sum(axis=1), -h.sum(axis=0))
+
+
+def identity_8x8(sign) -> CgTable:
+    return at_local_bound(sign * np.eye(8, dtype=int), np.zeros(8, int), np.zeros(8, int))
+
+
+# 8x8 tables with many maximal vertices and many rows tied in c; the
+# Hadamard and identity tables were the slowest known for the row-order search
+WORST_8X8 = {
+    "hadamard": hadamard_8x8,
+    "plus_identity": lambda: identity_8x8(1),
+    "minus_identity": lambda: identity_8x8(-1),
+    "circulant": lambda: circulant(np.random.default_rng(8), 8),
+}
+
+
 def test_relabeling_validation():
     with pytest.raises(ValueError):
         Relabeling((0, 0), (0, 1), (0, 0), (0, 0))
@@ -200,6 +239,28 @@ class TestCanonicalForm:
         for _ in range(3):
             r = random_relabeling(lifted.scenario, rng)
             assert canonical_form(apply_relabeling(lifted, r)) == canon
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_row_order_oracle(self, n):
+        rng = np.random.default_rng([n, 13])
+        for _ in range(3):
+            t = random_table(rng, n, n, -1, 1)
+            # entries near 2**37 need the int64 keys to stay exact
+            big = at_local_bound(2**37 * t.d + t.d.T, 2**37 * t.c, t.e)
+            small = at_local_bound(t.d, t.c, t.e)
+            for table in (small, big, circulant(rng, n), constant_c(rng, n)):
+                assert canonical_form(table) == oracles.canonical_form_orders(table)
+
+    @pytest.mark.parametrize("name", sorted(WORST_8X8))
+    def test_worst_cases_at_8x8(self, name, rng):
+        # the oracle takes over a second on the Hadamard table, so it runs
+        # once per table and the relabelings are compared with its answer
+        t = WORST_8X8[name]()
+        canon = oracles.canonical_form_orders(t)
+        for _ in range(2):
+            assert canonical_form(apply_relabeling(t, random_relabeling(t.scenario, rng))) == canon
+        assert canonical_form(canon) == canon
+        assert canonical_form(CgTable(t.scenario, 3 * t.d, 3 * t.c, 3 * t.e, 3 * t.bound)) == canon
 
 
 class TestCorrelationForm:
