@@ -24,7 +24,6 @@ from .localpoly import (
     FacetReport,
     Lifting,
     detect_lifting,
-    exact_rank,
     facet_check,
     local_bound,
     white_noise_value,
@@ -94,7 +93,6 @@ __all__ = [
     "detect_lifting",
     "detection_threshold",
     "evaluate",
-    "exact_rank",
     "facet_check",
     "group_equivalent",
     "i3322",

@@ -11,27 +11,40 @@ rank of the Gram matrix G = B^T B, which is (D+1) x (D+1) for
 D = cg_dimension however many vertices saturate.  Its entries are vertex
 counts, so float64 forms it exactly, straight from the vertex grid.
 
-The rank of G modulo the prime p = 2^31 - 1, by int64 row reduction, is a
-lower bound on the rational rank.  It is therefore exact when it reaches the
-upper bound min(n, D + 1), or min(n, D) when the functional is not
-identically zero (every saturating row then lies on its hyperplane).  A
-facet, the full polytope and an affinely independent vertex set are all
-certified that way.  Only below that bound does exact rational elimination
-(exact_rank) run, on G.  No step is random and none rounds.
+The rank of G modulo a prime p, by int64 row reduction, is a lower bound on
+the rational rank r, and exact once it reaches the upper bound min(n, D + 1),
+or min(n, D) when the functional is not identically zero (every saturating
+row then lies on its hyperplane).  The first prime certifies facets, the
+full polytope and affinely independent vertex sets that way.  Below the
+bound more primes follow.  As G is positive semidefinite and integer, one of
+its principal minors of order r is a nonzero integer of at most h, the
+product of its upper-bound-many largest diagonal entries (Hadamard), and
+every prime whose rank falls short of r divides it.  So once the primes
+tried multiply past h, the largest rank seen is r.  No step is random and
+none rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .model import CgTable, Scenario
 
-# the largest prime below 2^31: residues multiply without leaving int64
-_PRIME = 2**31 - 1
+# the 42 largest primes below 2^31 (residue products fit in int64); their product,
+# about 2^1302, exceeds h <= (2^16)^81: at most 81 diagonal entries, each <= 2^16
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
+    2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323,
+    2147483269, 2147483249, 2147483237, 2147483179, 2147483171, 2147483137, 2147483123,
+    2147483077, 2147483069, 2147483059, 2147483053, 2147483033, 2147483029, 2147482951,
+    2147482949, 2147482943, 2147482937, 2147482921, 2147482877, 2147482873, 2147482867,
+    2147482859, 2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
+)
 
 
 @dataclass(frozen=True)
@@ -82,29 +95,6 @@ def white_noise_value(table: CgTable) -> Fraction:
     )
 
 
-def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by Gaussian elimination on Fractions."""
-    m = [[Fraction(v) for v in row] for row in rows if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            f = m[i][col] / pv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def _gram(scenario: Scenario, saturating: np.ndarray) -> np.ndarray:
     """G = B^T B for the 0/1 matrix B whose rows are the saturating vertices.
 
@@ -128,9 +118,9 @@ def _gram(scenario: Scenario, saturating: np.ndarray) -> np.ndarray:
     return g.astype(np.int64)
 
 
-def _rank_mod_p(m: np.ndarray) -> int:
+def _rank_mod_p(m: np.ndarray, p: int) -> int:
     """Rank over F_p of a nonnegative int64 matrix, by row reduction."""
-    m = m % _PRIME
+    m = m % p
     rank = 0
     for col in range(m.shape[1]):
         nonzero = np.flatnonzero(m[rank:, col])
@@ -138,13 +128,27 @@ def _rank_mod_p(m: np.ndarray) -> int:
             continue
         pivot = rank + int(nonzero[0])
         m[[rank, pivot]] = m[[pivot, rank]]
-        # entries stay below p < 2^31, so every product fits in int64
-        m[rank] = m[rank] * pow(int(m[rank, col]), -1, _PRIME) % _PRIME
+        # entries stay below p < 2^31, so every product fits in int64; the
+        # rows below are already zero left of col
+        m[rank, col:] = m[rank, col:] * pow(int(m[rank, col]), -1, p) % p
         factors = m[rank + 1 :, col].copy()
-        m[rank + 1 :] = (m[rank + 1 :] - factors[:, None] * m[rank]) % _PRIME
+        m[rank + 1 :, col:] = (m[rank + 1 :, col:] - factors[:, None] * m[rank, col:]) % p
         rank += 1
         if rank == m.shape[0]:
             break
+    return rank
+
+
+def _rational_rank(gram: np.ndarray, upper: int) -> int:
+    """Rank over Q of a Gram matrix of rank <= upper, certified as in the module docstring."""
+    rank = _rank_mod_p(gram, _PRIMES[0])
+    if rank < upper:
+        # the diagonal of G holds vertex counts, so the positive entries are the nonzero ones
+        hadamard = math.prod(sorted(filter(None, np.diagonal(gram).tolist()))[-upper:])
+        for k in range(1, len(_PRIMES)):
+            if rank == upper or math.prod(_PRIMES[:k]) > hadamard:
+                break
+            rank = max(rank, _rank_mod_p(gram, _PRIMES[k]))
     return rank
 
 
@@ -162,15 +166,12 @@ def facet_check(table: CgTable) -> FacetReport:
     saturating = values == table.bound
     n = int(saturating.sum())
     if n <= 1:
-        dim = 0
+        rank = n
     else:
         gram = _gram(table.scenario, saturating)
         nonzero = table.bound != 0 or table.d.any() or table.c.any() or table.e.any()
-        upper = min(n, dim_cg if nonzero else dim_cg + 1)
-        rank = _rank_mod_p(gram)
-        if rank < upper:
-            rank = exact_rank(gram.tolist())
-        dim = rank - 1
+        rank = _rational_rank(gram, min(n, dim_cg if nonzero else dim_cg + 1))
+    dim = rank - 1
     is_facet = is_valid and dim == dim_cg - 1
     return FacetReport(is_valid, n, dim, is_facet)
 

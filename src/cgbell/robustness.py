@@ -121,10 +121,10 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     # assignment (a, b) substitutes a where alpha = 1 - a: reversing both
     # axes of the vertex grid puts the cells in assignment order
     x_grid = values[::-1, ::-1]
-    a_bits = _bit_rows(table.scenario.na)
-    b_bits = _bit_rows(table.scenario.nb)
-    m_a2 = (int(table.c.sum()) + b_bits @ (table.d.sum(axis=0) + 2 * table.e))[::-1]
-    m_b2 = (int(table.e.sum()) + a_bits @ (table.d.sum(axis=1) + 2 * table.c))[::-1]
+    # the mean of Alice's all-0 and all-1 vertices puts her marginals at 1/2, so
+    # rows 0 and -1 sum to 2 M_A per Bob assignment, and columns 0 and -1 to 2 M_B
+    m_a2 = x_grid[0] + x_grid[-1]
+    m_b2 = x_grid[:, 0] + x_grid[:, -1]
 
     if q_me <= bound + _VIOLATION_TOL:
         i = j = 0
@@ -137,6 +137,7 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
         )
         i, j = np.unravel_index(int(np.argmin(etas)), etas.shape)
         eta = float(etas[i, j])
+    a_bits, b_bits = _bit_rows(table.scenario.na), _bit_rows(table.scenario.nb)
     return DetectionAnalysis(
         q_me,
         Fraction(int(m_a2[j]), 2),

@@ -132,11 +132,9 @@ def apply_relabeling(table: CgTable, r: Relabeling) -> CgTable:
     return CgTable(scenario, d, c, e, int(bound), table.name)
 
 
-def random_relabeling(
-    scenario: Scenario, rng: np.random.Generator, allow_swap: bool = True
-) -> Relabeling:
+def random_relabeling(scenario: Scenario, rng: np.random.Generator) -> Relabeling:
     na, nb = scenario.na, scenario.nb
-    swap = bool(allow_swap and na == nb and rng.integers(2))
+    swap = bool(na == nb and rng.integers(2))
     return Relabeling(
         tuple(int(v) for v in rng.permutation(na)),
         tuple(int(v) for v in rng.permutation(nb)),

@@ -89,11 +89,32 @@ def float_rank(rows) -> int:
     return int(np.linalg.matrix_rank(m))
 
 
+def exact_rank(rows) -> int:
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    m = [[Fraction(v) for v in row] for row in rows if any(row)]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / pv
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
 def facet_check_fraction(table: CgTable) -> tuple[bool, int, int, bool]:
     """(is_valid, saturating_count, affine_dimension, is_facet) by exact
     Fraction elimination of the differences between saturating vertices."""
-    from cgbell import exact_rank
-
     na, nb = table.scenario.na, table.scenario.nb
     vertices = []
     for alpha in itertools.product((0, 1), repeat=na):
@@ -108,7 +129,7 @@ def facet_check_fraction(table: CgTable) -> tuple[bool, int, int, bool]:
     saturating = [v for value, v in vertices if value == table.bound]
     is_valid = max(value for value, _ in vertices) == table.bound
     if len(saturating) <= 1:
-        dim = 0
+        dim = len(saturating) - 1
     else:
         base = saturating[0]
         dim = exact_rank([[a - b for a, b in zip(v, base)] for v in saturating[1:]])

@@ -28,6 +28,7 @@ REMOVED = (
     "born_probability",
     "born_marginal_a",
     "born_marginal_b",
+    "exact_rank",
 )
 
 

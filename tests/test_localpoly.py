@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +9,15 @@ from hypothesis import strategies as st
 from cgbell import (
     Behavior,
     CgTable,
+    FacetReport,
     Scenario,
     detect_lifting,
     evaluate,
-    exact_rank,
     facet_check,
     local_bound,
     white_noise_value,
 )
-from cgbell.localpoly import _bit_rows, _vertex_values
+from cgbell.localpoly import _PRIMES, _bit_rows, _rational_rank, _vertex_values
 
 import oracles
 
@@ -111,19 +112,20 @@ class TestWhiteNoise:
 
 
 class TestExactRank:
+    # the Fraction elimination behind oracles.facet_check_fraction
     def test_empty_and_zero(self):
-        assert exact_rank([]) == 0
-        assert exact_rank([[0, 0], [0, 0]]) == 0
+        assert oracles.exact_rank([]) == 0
+        assert oracles.exact_rank([[0, 0], [0, 0]]) == 0
 
     def test_known(self):
-        assert exact_rank([[1, 0], [0, 1]]) == 2
-        assert exact_rank([[1, 1], [2, 2]]) == 1
+        assert oracles.exact_rank([[1, 0], [0, 1]]) == 2
+        assert oracles.exact_rank([[1, 1], [2, 2]]) == 1
 
     @given(rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=80, deadline=None)
     def test_against_float_rank(self, rows, cols, seed):
         m = np.random.default_rng(seed).integers(-1, 2, size=(rows, cols))
-        assert exact_rank(m.tolist()) == oracles.float_rank(m)
+        assert oracles.exact_rank(m.tolist()) == oracles.float_rank(m)
 
 
 class TestFacetCheck:
@@ -158,6 +160,30 @@ class TestFacetCheck:
         loose = CgTable(chsh_table.scenario, chsh_table.d, chsh_table.c, chsh_table.e, 1)
         report = facet_check(loose)
         assert not report.is_valid and not report.is_facet
+
+    def test_empty_face(self, chsh_table):
+        # no vertex reaches 5, and the empty set has affine dimension -1
+        t = CgTable(chsh_table.scenario, chsh_table.d, chsh_table.c, chsh_table.e, 5)
+        assert facet_check(t) == FacetReport(False, 0, -1, False)
+        assert oracles.facet_check_fraction(t) == (False, 0, -1, False)
+
+    def test_primes_certify_every_gram_matrix(self):
+        # distinct primes below 2^31 whose product exceeds the Hadamard bound
+        # (2^16)^81 of any principal minor of a Gram matrix up to 8x8
+        divisors = np.arange(2, math.isqrt(2**31) + 1)
+        assert len(set(_PRIMES)) == len(_PRIMES)
+        for p in _PRIMES:
+            assert p < 2**31 and (p % divisors).all()
+        assert math.prod(_PRIMES) > 2 ** (16 * 81)
+
+    @pytest.mark.parametrize(
+        "primes", [(2, 3, 5, 7), (7, 2, 3, 5)], ids=["ascending", "7-first"]
+    )
+    def test_rank_is_the_largest_seen_past_h(self, primes, monkeypatch):
+        # diag(6, 5, 0) has rank 2, but rank 1 modulo 2, 3 and 5, whose product
+        # only reaches h = 30: the rank is the largest seen once it is passed
+        monkeypatch.setattr("cgbell.localpoly._PRIMES", primes)
+        assert _rational_rank(np.diag([6, 5, 0]), 3) == 2
 
     def test_full_polytope_is_not_a_facet(self):
         # the zero functional is saturated by every vertex: affine dim 8, not 7

@@ -15,6 +15,7 @@ from cgbell import (
     detection_threshold,
     facet_check,
     i3322,
+    i3422_1,
     load_report_csv,
     local_bound,
     noise_resistance,
@@ -37,6 +38,22 @@ I3322_Q_ME = 0.25
 
 def lift(table, n):
     return embed(table, Scenario(n, n), range(table.scenario.na), range(table.scenario.nb))
+
+
+def direct_sum(*tables):
+    """The block-diagonal sum on disjoint settings; its bound is the sum of the bounds."""
+    d = np.zeros((sum(t.scenario.na for t in tables), sum(t.scenario.nb for t in tables)), int)
+    x = y = 0
+    for t in tables:
+        d[x : x + t.scenario.na, y : y + t.scenario.nb] = t.d
+        x, y = x + t.scenario.na, y + t.scenario.nb
+    return CgTable(
+        Scenario(*d.shape),
+        d,
+        np.concatenate([t.c for t in tables]),
+        np.concatenate([t.e for t in tables]),
+        sum(t.bound for t in tables),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +209,9 @@ class TestFacetCheckOracle:
     def test_exact_fallback_under_a_small_prime(self, fixtures, monkeypatch):
         # modulo 2 the Gram rank often falls short of the rational one (on
         # about one table in sixteen here), so the certificate must notice
-        # and hand over to exact_rank
-        monkeypatch.setattr(localpoly, "_PRIME", 2)
+        # and go on through the primes until their product passes h
+        small = [p for p in range(2, 1000) if all(p % f for f in range(2, math.isqrt(p) + 1))]
+        monkeypatch.setattr(localpoly, "_PRIMES", tuple(small))
         tables = list(fixtures)
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -207,13 +225,51 @@ class TestFacetCheckOracle:
 
     def test_faces_of_chsh(self, chsh_table):
         # cutting the bound below the maximum leaves saturating sets of lower rank,
-        # which go through the exact fallback
+        # which the first prime cannot certify
         for bound in (-1, -2):
             t = CgTable(chsh_table.scenario, chsh_table.d, chsh_table.c, chsh_table.e, bound)
             r = facet_check(t)
             assert (r.is_valid, r.saturating_count, r.affine_dimension, r.is_facet) == (
                 oracles.facet_check_fraction(t)
             )
+
+
+    def test_rank_deficient_direct_sum(self):
+        # CHSH + CHSH saturates a face of dimension 22 < 23: its Gram rank
+        # falls short of the upper bound under every prime
+        t = direct_sum(chsh(), chsh())
+        r = facet_check(t)
+        assert (r.is_valid, r.saturating_count, r.affine_dimension, r.is_facet) == (
+            oracles.facet_check_fraction(t)
+        )
+        assert r.affine_dimension == 22
+
+    @pytest.mark.parametrize(
+        "parts,dim",
+        [
+            ("CHSH+CHSH+CHSH", 45),
+            ("I3322+I3322", 46),
+            ("CHSH+CHSH+I3422_1", 68),
+            ("CHSH+CHSH+CHSH+CHSH", 76),
+            ("CHSH+I3322+I3322", 77),
+        ],
+    )
+    def test_rank_deficient_direct_sums_up_to_8x8(self, parts, dim):
+        # dimensions recorded from Fraction elimination of the Gram matrix
+        tables = {"CHSH": chsh(), "I3322": i3322(), "I3422_1": i3422_1()}
+        r = facet_check(direct_sum(*(tables[name] for name in parts.split("+"))))
+        assert r.is_valid and not r.is_facet
+        assert r.affine_dimension == dim
+
+    def test_hadamard_zero_face(self):
+        # d = H, c = e = 0 at 0: 11,664 saturating vertices span dimension 78,
+        # as recorded from Fraction elimination of the Gram matrix
+        h = np.array([[1]])
+        for _ in range(3):
+            h = np.block([[h, h], [h, -h]])
+        t = CgTable(Scenario(8, 8), h, np.zeros(8, int), np.zeros(8, int), 0)
+        r = facet_check(t)
+        assert (r.is_valid, r.saturating_count, r.affine_dimension) == (False, 11664, 78)
 
 
 class TestEightSettings:
@@ -237,7 +293,7 @@ class TestEightSettings:
         assert eta == pytest.approx(float(row["eta_sym"]), abs=DEFAULT_TOLERANCES["eta_sym"])
 
     def test_probability_cap_at_8x8(self):
-        # p(00|00) <= 1: valid, a face of dimension 63, decided by the exact fallback
+        # p(00|00) <= 1: valid, a face of dimension 63, decided by further primes
         d = np.zeros((8, 8), dtype=int)
         d[0, 0] = 1
         t = CgTable(Scenario(8, 8), d, np.zeros(8, int), np.zeros(8, int), 1)
