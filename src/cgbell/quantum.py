@@ -13,10 +13,11 @@ The Bell functional is linear in each measurement vector separately and a
 shifted cosine in theta, so see-saw sweeps (all of Alice, all of Bob, then
 theta; Werner and Wolf, QIC 1 (2001)) are exact block maximizations and the
 value never decreases.
-One batched sweep steps all restarts in lockstep: quantum_bound runs it
-on every restart at once and seesaw_step on a batch of one, so each
-restart follows the same kernel either way (not always to the last bit,
-as BLAS picks its kernels by batch size).
+One batched sweep steps all restarts in lockstep; seesaw_step runs it on a
+batch of one (alike up to rounding, as BLAS picks kernels by size).  Each
+party's vectors form one (n, 3, R) array, restarts last and contiguous, so a
+half step is one 2-D matrix product and the other calls run over rows of R
+values, not over strided rows of 3 where call overhead would set the cost.
 
 quantum_bound works in two phases.  The sweeps, at most SWEEP_CAP of them,
 bring every restart near a local maximum; they stop once each restart has
@@ -46,6 +47,7 @@ SWEEP_CAP = 30  # see-saw sweeps before the Newton polish
 POLISHED = 3  # restarts polished, best first, distinct in value
 POLISH_STEPS = 20  # Newton steps per polished restart
 _HALVINGS = 0.5 ** np.arange(12)  # the polish's backtracking step lengths
+_ROUNDING = 16 * np.finfo(float).eps  # the reach of rounding in one value, per unit scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,23 +87,21 @@ class QuantumBoundResult:
     converged: bool  # the strategy is a certified local maximum
 
 
+def _check_settings(scenario: Scenario, s: QuantumStrategy) -> None:
+    na, nb = len(s.a_vecs), len(s.b_vecs)
+    if (na, nb) != (scenario.na, scenario.nb):
+        raise ValueError(f"strategy has {na}x{nb} settings, scenario is {scenario}")
+
+
 def strategy_behavior(scenario: Scenario, s: QuantumStrategy) -> Behavior:
     """The CG behavior produced by a strategy, by the closed form above."""
-    if s.a_vecs.shape[0] != scenario.na or s.b_vecs.shape[0] != scenario.nb:
-        raise ValueError(
-            f"strategy has {s.a_vecs.shape[0]}x{s.b_vecs.shape[0]} settings, "
-            f"scenario is {scenario}"
-        )
+    _check_settings(scenario, s)
     ct, st = math.cos(2 * s.theta), math.sin(2 * s.theta)
     a, b = s.a_vecs, s.b_vecs
     az, bz = a[:, 2], b[:, 2]
-    joint = (
-        1.0
-        + ct * (az[:, None] + bz[None, :])
-        + np.outer(az, bz)
-        + st * (np.outer(a[:, 0], b[:, 0]) - np.outer(a[:, 1], b[:, 1]))
-    ) / 4
-    return Behavior(scenario, joint, (1 + ct * az) / 2, (1 + ct * bz) / 2)
+    joint = 1.0 + ct * (az[:, None] + bz[None, :]) + np.outer(az, bz)
+    joint += st * (np.outer(a[:, 0], b[:, 0]) - np.outer(a[:, 1], b[:, 1]))
+    return Behavior(scenario, joint / 4, (1 + ct * az) / 2, (1 + ct * bz) / 2)
 
 
 def quantum_value(table: CgTable, s: QuantumStrategy) -> float:
@@ -109,19 +109,14 @@ def quantum_value(table: CgTable, s: QuantumStrategy) -> float:
     return evaluate(table, strategy_behavior(table.scenario, s))
 
 
-def seesaw_step(
-    table: CgTable, s: QuantumStrategy, update_theta: bool = True
-) -> QuantumStrategy:
-    """One full sweep: all Alice vectors, all Bob vectors, then theta.
-
-    Each stage is an exact maximization of its block, so the value of the
-    returned strategy never falls below the input's.  This is quantum_bound's
-    batched sweep run on a batch of one.
-    """
-    a, b, theta, _ = _batch_sweep(
-        *_functional(table), s.a_vecs[None], s.b_vecs[None], np.array([s.theta]), update_theta
-    )
-    return QuantumStrategy(theta[0], a[0], b[0])
+def seesaw_step(table: CgTable, s: QuantumStrategy, update_theta: bool = True) -> QuantumStrategy:
+    """One full sweep: all Alice vectors, all Bob vectors, then theta, each an
+    exact block maximization, so the value never falls.  This is
+    quantum_bound's batched sweep run on a batch of one."""
+    _check_settings(table.scenario, s)
+    a, b = s.a_vecs[..., None], s.b_vecs[..., None]
+    a, b, theta, _ = _batch_sweep(*_functional(table), a, b, np.array([s.theta]), update_theta)
+    return QuantumStrategy(theta[0], a[..., 0], b[..., 0])
 
 
 # --- vectorized multi-restart kernel -----------------------------------------
@@ -140,114 +135,122 @@ def _functional(table: CgTable):
     return w, w.sum(axis=1) + c, w.sum(axis=0) + e, w.sum() + c.sum() + e.sum()
 
 
-def _block_coefficients(w, u, other, ct, st):
-    """Gradient of the functional in each of one party's vectors, every restart.
+def _trig(theta, out=None):
+    """The rows (sin 2t, -sin 2t, 1, cos 2t) of theta, (R,) or a float, into out if given."""
+    two, out = 2 * theta, np.ones((4,) + np.shape(theta)) if out is None else out
+    np.sin(two, out=out[0, ...])
+    np.negative(out[0], out=out[1, ...])
+    np.cos(two, out=out[3, ...])
+    return out
 
-    For Alice w is d/4, u is ua and other Bob's (R, nb, 3) vectors; for Bob
-    the same with w.T, ub and Alice's vectors.  ct and st are cos(2 theta)
-    and sin(2 theta), (R, 1).  The objective is r[x] . v[x] + const for
-    fixed theta and the other party, so the exact block maximizer is
-    r[x]/|r[x]|.
+
+def _product(w, other):
+    """w @ other for (n, 3, R) vectors, as one 2-D matrix product."""
+    return (w @ other.reshape(len(other), -1)).reshape(len(w), 3, -1)
+
+
+def _block_coefficients(q, u, trig):
+    """Gradient r of the functional in each of one party's vectors, for
+    (n, 3, R) or one restart's (n, 3): q is d/4 @ b and u is ua for Alice,
+    d.T/4 @ a and ub for Bob, and trig is _trig(theta).  The objective is
+    r[x] . v[x] + const, so the exact block maximizer is r[x]/|r[x]|.
     """
-    r = w @ other
-    r[:, :, 0] *= st
-    r[:, :, 1] *= -st
-    r[:, :, 2] += ct * u
+    r = q * trig[:3]
+    r[:, 2] += np.multiply.outer(u, trig[3])
     return r
 
 
 def _ascend(vecs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The block maximizer r/|r|, row by row."""
-    norms = np.sqrt(np.einsum("rxi,rxi->rx", r, r))[:, :, None]
-    # a vector with zero gradient keeps its old direction
+    """The block maximizer r/|r|, vector by vector, in place in r when
+    no norm is zero; a vector with zero gradient keeps its old direction."""
+    norms = np.sqrt(np.einsum("xi...,xi...->x...", r, r))[:, None]
+    if np.count_nonzero(norms) == norms.size:
+        return np.divide(r, norms, out=r)
     return np.divide(r, norms, out=vecs.copy(), where=norms > 0)
 
 
-def _theta_coefficients(w, ua, ub, a, b):
-    """(k1, k2, zz), each (R,), with the functional of the restarts' vectors
-    a and b equal to k0 + zz + k1 cos(2t) + k2 sin(2t)."""
-    s = np.einsum("riy,ryi->ri", np.swapaxes(a, 1, 2) @ w, b)  # sum_xy a[x, i] w[x, y] b[y, i]
-    return a[:, :, 2] @ ua + b[:, :, 2] @ ub, s[:, 0] - s[:, 1], s[:, 2]
+def _theta_coefficients(ua, ub, a, b, q):
+    """(k1, k2, zz), with the functional at vectors a and b equal to
+    k0 + zz + k1 cos(2t) + k2 sin(2t), from Bob's product q = d.T/4 @ a."""
+    s = np.einsum("yi...,yi...->i...", q, b)  # sum_xy a[x, i] w[x, y] b[y, i]
+    return ua @ a[:, 2] + ub @ b[:, 2], s[0] - s[1], s[2]
 
 
-def _value_at(k0, coefficients, theta):
+def _value_at(k0, coefficients, trig):
     k1, k2, zz = coefficients
-    return k0 + zz + k1 * np.cos(2 * theta) + k2 * np.sin(2 * theta)
+    return k0 + zz + k1 * trig[3] + k2 * trig[0]
+
+
+def _theta_step(k1, k2):
+    """The theta in [0, pi/4] maximizing k1 cos(2t) + k2 sin(2t): 2t is the point
+    of [0, pi/2] nearest to atan2(k2, k1) on the circle, so ties go to 0, then pi/4."""
+    phi = np.arctan2(k2, k1)
+    phi[phi < -3 * QUARTER_PI] += 2 * math.pi  # nearer to pi/2 than to 0
+    return np.minimum(np.maximum(phi, 0.0), 2 * QUARTER_PI) / 2
 
 
 def _batch_values(w, ua, ub, k0, a, b, theta):
-    """The functional at every restart: a is (R, na, 3), b is (R, nb, 3), theta is (R,)."""
-    return _value_at(k0, _theta_coefficients(w, ua, ub, a, b), theta)
+    """The functional at every restart: a is (na, 3, R), b is (nb, 3, R), theta is (R,)."""
+    return _value_at(k0, _theta_coefficients(ua, ub, a, b, _product(w.T, a)), _trig(theta))
 
 
-def _batch_sweep(w, ua, ub, k0, a, b, theta, update_theta):
-    """One see-saw sweep (all of Alice, all of Bob, then theta) applied to
-    every restart at once, and the values it reaches.
-
-    a is (R, na, 3), b is (R, nb, 3), theta is (R,).
-    """
-    ct = np.cos(2 * theta)[:, None]
-    st = np.sin(2 * theta)[:, None]
-    a = _ascend(a, _block_coefficients(w, ua, b, ct, st))
-    b = _ascend(b, _block_coefficients(w.T, ub, a, ct, st))
-
-    coefficients = _theta_coefficients(w, ua, ub, a, b)
+def _batch_sweep(w, ua, ub, k0, a, b, theta, update_theta, trig=None):
+    """One see-saw sweep (all of Alice, all of Bob, then theta) of every
+    restart, a (na, 3, R), b (nb, 3, R), theta (R,), and the values it
+    reaches.  trig, if given, is _trig(theta); a theta step rewrites it."""
+    trig = _trig(theta) if trig is None else trig
+    a = _ascend(a, _block_coefficients(_product(w, b), ua, trig))
+    q = _product(w.T, a)
+    b = _ascend(b, _block_coefficients(q, ub, trig))
+    coefficients = _theta_coefficients(ua, ub, a, b, q)
     if update_theta:
-        # k0 + zz + k1 cos(2t) + k2 sin(2t), maximized over [0, pi/4]
-        k1, k2, _ = coefficients
-        phi = np.arctan2(k2, k1)
-        interior = (phi > 0.0) & (phi < math.pi / 2)
-        peak = np.where(interior, k1 * np.cos(phi) + k2 * np.sin(phi), -np.inf)
-        # ties go to theta = 0, then pi/4, then the interior peak
-        theta = np.where(peak > np.maximum(k1, k2), phi / 2, np.where(k2 > k1, QUARTER_PI, 0.0))
-    return a, b, theta, _value_at(k0, coefficients, theta)
+        theta = _theta_step(*coefficients[:2])
+        _trig(theta, out=trig)
+    return a, b, theta, _value_at(k0, coefficients, trig)
 
 
 def _newton_model(w, ua, ub, a, b, theta, free_theta):
-    """Gradient g and Hessian H of the functional at one restart, in the
-    coordinates that the polish steps in.
+    """Gradient g and Hessian H of the functional at one restart, a (na, 3)
+    and b (nb, 3), in the coordinates that the polish steps in.
 
-    a is (na, 3) and b is (nb, 3).  Each vector v moves by a step delta in
-    its tangent plane through the retraction v -> (v + delta)/|v + delta|,
-    and theta follows as the last coordinate when free_theta.  With r the
-    block gradient of _block_coefficients and P = I - v v^T, the gradient
-    is P r, and the Hessian has the blocks w[x, y] P_a diag(s, -s, 1) P_b
-    between Alice's x and Bob's y (s = sin 2 theta) and -(r . v) P on each
-    vector, the retraction's curvature.  Each vector's normal direction is
-    an exact zero of g and H.
+    Each vector v moves by a step delta in its tangent plane through the
+    retraction v -> (v + delta)/|v + delta|, and theta follows as the last
+    coordinate when free_theta.  With r the block gradient and P = I - v v^T,
+    the gradient is P r, and the Hessian has the blocks w[x, y] P_a D P_b,
+    D = diag(s, -s, 1) and s = sin 2 theta, between Alice's x and Bob's y,
+    and -(r . v) P on each vector, the retraction's curvature.  Each
+    vector's normal direction is an exact zero of g and H.
     """
     na, nv = len(a), len(a) + len(b)
-    n = 3 * nv
+    m, n = 3 * na, 3 * nv
     ct, st = math.cos(2 * theta), math.sin(2 * theta)
-    trig = np.array([[ct]]), np.array([[st]])
-    v = np.concatenate((a, b))
-    r = np.concatenate((_block_coefficients(w, ua, b[None], *trig)[0],
-                        _block_coefficients(w.T, ub, a[None], *trig)[0]))
+    trig = np.array([st, -st, 1.0, ct])  # _trig(theta), by math's scalar functions
+    v, u = np.concatenate((a, b)), np.concatenate((ua, ub))
+    q = np.concatenate((w @ b, w.T @ a))  # both parties' unscaled products
+    r = _block_coefficients(q, u, trig)
     radial = np.einsum("ij,ij->i", r, v)
     proj = np.eye(3) - v[:, :, None] * v[:, None, :]
-    hv = np.zeros((nv, 3, nv, 3))
-    cross = (proj[:na, None] * [st, -st, 1.0]) @ proj[None, na:]  # (na, nb, 3, 3)
-    hv[:na, :, na:] = cross.transpose(0, 2, 1, 3) * w[:, None, :, None]
-    hv[na:, :, :na] = hv[:na, :, na:].transpose(2, 3, 0, 1)
-    hv[np.arange(nv), :, np.arange(nv)] = -radial[:, None, None] * proj
-    g = (r - radial[:, None] * v).ravel()
+    g, h = np.empty(n + free_theta), np.zeros((n + free_theta,) * 2)
+    # the blocks w[x, y] P_a D P_b from one matrix product
+    cross = (proj[:na] * trig[:3]).reshape(m, 3) @ proj[na:].transpose(1, 0, 2).reshape(3, -1)
+    h[:m, m:n] = (cross.reshape(na, 3, -1, 3) * w[:, None, :, None]).reshape(m, -1)
+    h[m:n, :m] = h[:m, m:n].T
+    np.einsum("iaib->iab", h[:n, :n].reshape(nv, 3, nv, 3))[...] = -radial[:, None, None] * proj
+    g[:n] = (r - radial[:, None] * v).ravel()
     if not free_theta:
-        return g, hv.reshape(n, n)
-    # d/dtheta of r: sin 2t -> 2 cos 2t and cos 2t -> -2 sin 2t
-    r_theta = np.concatenate((w @ b, w.T @ a)) * [2 * ct, -2 * ct, 0.0]
-    r_theta[:, 2] = -2 * st * np.concatenate((ua, ub))
-    k1, k2, _ = _theta_coefficients(w, ua, ub, a[None], b[None])
-    h = np.empty((n + 1, n + 1))
-    h[:n, :n] = hv.reshape(n, n)
+        return g, h
+    r_theta = _block_coefficients(q, u, np.array([2 * ct, -2 * ct, 0.0, -2 * st]))  # d r/d theta
+    k1, k2, _ = _theta_coefficients(ua, ub, a, b, q[na:])
     h[n, :n] = h[:n, n] = (r_theta - np.einsum("ij,ij->i", r_theta, v)[:, None] * v).ravel()
-    h[n, n] = -4 * (ct * k1[0] + st * k2[0])
-    return np.append(g, 2 * (ct * k2[0] - st * k1[0])), h
+    h[n, n], g[n] = -4 * (ct * k1 + st * k2), 2 * (ct * k2 - st * k1)
+    return g, h
 
 
-def _negative_definite(h, mu):
-    """Whether mu I - H has a Cholesky factor, i.e. H < mu I."""
+def _negative_definite(m, diag, mu):
+    """Whether mu I - H has a Cholesky factor (H < mu I); m = -H becomes mu I - H in place."""
+    m.flat[:: len(m) + 1] = mu - diag
     try:
-        np.linalg.cholesky(mu * np.eye(len(h)) - h)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -259,13 +262,12 @@ def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale):
 
     It stops once the gradient norm is below tol * scale, and the restart
     is certified when H is then also below 1e-9 * scale, which leaves room
-    for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  A theta at
-    0 or pi/4 whose gradient points out of the range is held there.  Each
-    step solves (mu I - H) delta = g, with mu raised tenfold from the
-    larger of |g| and 1e-9 * scale until mu I - H is positive definite
-    (Levenberg-Marquardt), and takes the longest of the steps delta,
-    delta/2, delta/4, ... that does not lower the value by more than
-    rounding.  Returns (a, b, theta, value, certified).
+    for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  A theta at 0
+    or pi/4 whose gradient points out of the range is held there.  Each step
+    solves (mu I - H) delta = g, mu raised tenfold from max(|g|, 1e-9 * scale)
+    until mu I - H is positive definite (Levenberg-Marquardt), and takes the
+    longest of delta, delta/2, delta/4, ... that does not lower the value by
+    more than rounding.  Returns (a, b, theta, value, certified).
     """
     floor = 1e-9 * scale
     na, n = len(a), 3 * (len(a) + len(b))
@@ -273,32 +275,36 @@ def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale):
         g, h = _newton_model(w, ua, ub, a, b, theta, free_theta)
         if free_theta and (theta <= 0.0 and g[n] <= 0.0 or theta >= QUARTER_PI and g[n] >= 0.0):
             g, h = g[:n], h[:n, :n]  # theta held at its bound
-        gnorm = np.linalg.norm(g)
+        gnorm = math.sqrt(g @ g)
+        m, diag = -h, h.diagonal()
         if gnorm < tol * scale:
-            return a, b, theta, value, _negative_definite(h, floor)
+            return a, b, theta, value, _negative_definite(m, diag, floor)
         if step == POLISH_STEPS:
             break
         mu = max(floor, gnorm)
-        while not _negative_definite(h, mu):
+        while not _negative_definite(m, diag, mu):
             mu *= 10
-        delta = np.linalg.solve(mu * np.eye(len(g)) - h, g)
-        moved = np.concatenate((a, b)) + _HALVINGS[:, None, None] * delta[:n].reshape(-1, 3)
-        moved /= np.linalg.norm(moved, axis=2, keepdims=True)
+        delta = np.linalg.solve(m, g)  # m is now mu I - H
+        # the steps delta, delta/2, ... as a batch, each vector retracted to its sphere
+        moved = np.concatenate((a, b))[:, :, None] + delta[:n].reshape(-1, 3, 1) * _HALVINGS
+        moved = _ascend(moved, moved)
         thetas = np.full(len(_HALVINGS), theta)
         if len(g) > n:
-            thetas = np.clip(theta + _HALVINGS * delta[n], 0.0, QUARTER_PI)
-        values = _batch_values(w, ua, ub, k0, moved[:, :na], moved[:, na:], thetas)
-        rises = values >= value - 16 * np.finfo(float).eps * scale  # rounding's reach
+            thetas = np.minimum(np.maximum(theta + _HALVINGS * delta[n], 0.0), QUARTER_PI)
+        values = _batch_values(w, ua, ub, k0, moved[:na], moved[na:], thetas)
+        rises = values >= value - _ROUNDING * scale
         if not rises.any():
             break
         k = int(np.argmax(rises))
-        a, b, theta, value = moved[k, :na], moved[k, na:], float(thetas[k]), values[k]
+        a, b, theta, value = moved[:na, :, k], moved[na:, :, k], float(thetas[k]), values[k]
     return a, b, theta, value, False
 
 
 def _random_units(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Uniform unit vectors, drawn as (R, n, 3) and returned as (n, 3, R)."""
     vecs = rng.normal(size=shape + (3,))
-    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    return np.ascontiguousarray(vecs.transpose(1, 2, 0))
 
 
 def quantum_bound(
@@ -309,20 +315,17 @@ def quantum_bound(
     tol: float = 1e-10,
 ) -> QuantumBoundResult:
     """Multi-restart see-saw maximization of the functional, polished by
-    Newton steps.
-
+    Newton steps: a lower bound on the quantum maximum, fixed by the seed.
     Vectors start uniform on the sphere and theta uniform on [0, pi/4]
     unless ``fix_theta`` pins it (pi/4 for maximally entangled analyses).
-    First all restarts are swept together, until every one of them has
-    had a sweep that improved its value by less than ``tol``, or SWEEP_CAP
-    times.  Then the best POLISHED restarts whose values lie more than
-    1e-9 apart take at most POLISH_STEPS damped Newton steps each.  The
-    best polished restart is returned, ties resolved to the earliest
-    restart.  ``converged`` is True when it is a certified local maximum:
-    its gradient norm is below tol * scale, with scale = 1 + sum|d|/4 +
-    sum|c|/2 + sum|e|/2, and its Hessian is negative semidefinite up to
-    1e-9 * scale.  Deterministic for a fixed seed.  The result is a lower
-    bound on the true quantum maximum.
+    First all restarts are swept together, until every one of them has had
+    a sweep that improved its value by less than ``tol``, or SWEEP_CAP
+    times.  Then the best POLISHED restarts whose values lie more than 1e-9
+    apart take at most POLISH_STEPS damped Newton steps each.  The best
+    polished restart is returned, ties resolved to the earliest restart.
+    ``converged`` is True when it is a certified local maximum: its gradient
+    norm is below tol * scale, with scale = 1 + sum|d|/4 + sum|c|/2 +
+    sum|e|/2, and its Hessian is negative semidefinite up to 1e-9 * scale.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -331,22 +334,20 @@ def quantum_bound(
     if fix_theta is not None and not 0.0 <= fix_theta <= QUARTER_PI + _UNIT_TOL:
         raise ValueError("fix_theta must lie in [0, pi/4]")
     rng = np.random.default_rng(seed)
-    na, nb = table.scenario.na, table.scenario.nb
+    a = _random_units(rng, (restarts, table.scenario.na))
+    b = _random_units(rng, (restarts, table.scenario.nb))
     update_theta = fix_theta is None
-
-    a = _random_units(rng, (restarts, na))
-    b = _random_units(rng, (restarts, nb))
-    if fix_theta is None:
+    if update_theta:
         theta = rng.uniform(0.0, QUARTER_PI, size=restarts)
     else:
         theta = np.full(restarts, float(fix_theta))
-
     f = _functional(table)
     scale = 1 + np.abs(table.d).sum() / 4 + np.abs(table.c).sum() / 2 + np.abs(table.e).sum() / 2
     values = _batch_values(*f, a, b, theta)
+    trig = _trig(theta)  # carried from sweep to sweep
     done = np.zeros(restarts, dtype=bool)
     for _ in range(SWEEP_CAP):
-        a, b, theta, new_values = _batch_sweep(*f, a, b, theta, update_theta)
+        a, b, theta, new_values = _batch_sweep(*f, a, b, theta, update_theta, trig)
         done |= new_values - values < tol
         values = new_values
         if done.all():
@@ -355,17 +356,16 @@ def quantum_bound(
     # polish the best restarts, skipping any within 1e-9 of one already taken
     order = np.argsort(-values, kind="stable")
     ranked = -values[order]
-    taken: list[int] = []
-    i = 0
+    taken, i = [], 0
     while i < restarts and len(taken) < POLISHED:
         taken.append(int(order[i]))
         i = int(np.searchsorted(ranked, ranked[i] + 1e-9, side="right"))
     certified = np.zeros(restarts, dtype=bool)
     for r in taken:
-        a[r], b[r], theta[r], values[r], certified[r] = _polish(
-            *f, a[r], b[r], theta[r], values[r], update_theta, tol, scale
+        a[..., r], b[..., r], theta[r], values[r], certified[r] = _polish(
+            *f, a[..., r], b[..., r], theta[r], values[r], update_theta, tol, scale
         )
 
     best = min(taken, key=lambda r: (-values[r], r))  # the earliest on ties
-    strategy = QuantumStrategy(float(theta[best]), a[best], b[best])
+    strategy = QuantumStrategy(float(theta[best]), a[..., best], b[..., best])
     return QuantumBoundResult(float(values[best]), strategy, bool(certified[best]))

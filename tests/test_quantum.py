@@ -33,7 +33,10 @@ from cgbell.quantum import (
     _block_coefficients,
     _functional,
     _newton_model,
+    _product,
     _random_units,
+    _theta_step,
+    _trig,
 )
 
 import oracles
@@ -53,11 +56,10 @@ CHSH_OPTIMAL = dict(
 def block_coefficients(table, s, party):
     """The see-saw gradient in one party's vectors, from the kernel on a batch of one."""
     d, ua, ub, _ = _functional(table)
-    ct = np.array([[math.cos(2 * s.theta)]])
-    st = np.array([[math.sin(2 * s.theta)]])
+    trig = _trig(np.array([s.theta]))
     if party == "a":
-        return _block_coefficients(d, ua, s.b_vecs[None], ct, st)[0]
-    return _block_coefficients(d.T, ub, s.a_vecs[None], ct, st)[0]
+        return _block_coefficients(_product(d, s.b_vecs[..., None]), ua, trig)[..., 0]
+    return _block_coefficients(_product(d.T, s.a_vecs[..., None]), ub, trig)[..., 0]
 
 
 def functional_scale(table):
@@ -93,7 +95,7 @@ def replayed(table, fix_theta, restarts, seed, sweeps):
     else:
         theta = np.full(restarts, fix_theta)
     for k in range(restarts):
-        s = QuantumStrategy(theta[k], a[k], b[k])
+        s = QuantumStrategy(theta[k], a[..., k], b[..., k])
         for _ in range(sweeps):
             s = seesaw_step(table, s, update_theta=fix_theta is None)
         yield s
@@ -240,8 +242,8 @@ class TestSeesaw:
         for t in fixtures:
             na, nb = t.scenario.na, t.scenario.nb
             starts = [random_strategy(rng, na, nb) for _ in range(restarts)]
-            a = np.array([s.a_vecs for s in starts])
-            b = np.array([s.b_vecs for s in starts])
+            a = np.array([s.a_vecs for s in starts]).transpose(1, 2, 0)
+            b = np.array([s.b_vecs for s in starts]).transpose(1, 2, 0)
             theta = np.array([s.theta for s in starts])
             for _ in range(sweeps):
                 a, b, theta, values = _batch_sweep(*_functional(t), a, b, theta, True)
@@ -250,8 +252,8 @@ class TestSeesaw:
                     s = seesaw_step(t, s)
                 assert abs(quantum_value(t, s) - values[r]) <= 1e-12
                 assert abs(s.theta - theta[r]) <= 1e-12
-                np.testing.assert_allclose(s.a_vecs, a[r], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(s.b_vecs, b[r], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s.a_vecs, a[..., r], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s.b_vecs, b[..., r], rtol=0, atol=1e-12)
 
     def test_fixed_point_at_optimum(self, chsh_table):
         s = QuantumStrategy(**CHSH_OPTIMAL)
@@ -287,6 +289,76 @@ class TestSeesaw:
                 analytic = float(coeffs[x] @ tangent)
                 assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
+    def test_setting_counts_are_checked(self, i3322_table, rng):
+        # the batched kernel reshapes the vectors, so a wrong count must be
+        # caught before it, with strategy_behavior's message
+        s = QuantumStrategy(**CHSH_OPTIMAL)
+        for step in (seesaw_step, lambda t, s: strategy_behavior(t.scenario, s)):
+            with pytest.raises(ValueError, match="strategy has 2x2 settings, scenario is 3x3"):
+                step(i3322_table, s)
+        t = random_table(rng, 3, 2)
+        with pytest.raises(ValueError, match="strategy has 2x3 settings, scenario is 3x2"):
+            seesaw_step(t, random_strategy(rng, 2, 3))
+
+    def test_theta_step_against_brute_force(self):
+        # theta reaches the maximum of k1 cos 2t + k2 sin 2t over a grid of
+        # [0, pi/4]; where 0 and pi/4 tie exactly, or nothing depends on
+        # theta, it is 0, and at phi = +-pi it is pi/4
+        ring = np.linspace(-math.pi, math.pi, 96, endpoint=False)  # holds the axes and +-3pi/4
+        endpoints = {
+            (0.0, 0.0): 0.0,
+            (-1.0, -1.0): 0.0,  # phi = -3pi/4, k1 = k2 < 0
+            (-3.0, -3.0): 0.0,
+            (2.0, 0.0): 0.0,
+            (0.0, -2.0): 0.0,
+            (0.0, 2.0): QUARTER_PI,
+            (-2.0, 0.0): QUARTER_PI,  # phi = pi
+            (-2.0, -0.0): QUARTER_PI,  # phi = -pi
+            (-1.0, 1.0): QUARTER_PI,  # phi = 3pi/4
+        }
+        # the ring at three radii, then k1 = k2 > 0 exactly
+        k1 = np.concatenate([r * np.cos(ring) for r in (1.0, 1e-3, 1e3)] + [[1.0, 3.0]])
+        k2 = np.concatenate([r * np.sin(ring) for r in (1.0, 1e-3, 1e3)] + [[1.0, 3.0]])
+        k1 = np.append(k1, [x for x, _ in endpoints])
+        k2 = np.append(k2, [y for _, y in endpoints])
+        theta = _theta_step(k1, k2)
+        grid = np.linspace(0.0, QUARTER_PI, 10**5)
+        for x, y, t in zip(k1, k2, theta):
+            best = (x * np.cos(2 * grid) + y * np.sin(2 * grid)).max()
+            assert 0.0 <= t <= QUARTER_PI
+            assert x * math.cos(2 * t) + y * math.sin(2 * t) >= best - 1e-12 * math.hypot(x, y)
+        for t, expected in zip(theta[-len(endpoints):], endpoints.values()):
+            assert t == expected and not np.signbit(t)
+
+    def test_zero_gradient_keeps_direction(self, chsh_table, rng):
+        # CHSH has ua = 0 and d[0] = (1, 1), so Alice's setting 0 has zero
+        # gradient where b[1] = -b[0], here in restarts 1 and 4 only; the
+        # zero-lifted settings 2 have zero gradient in every restart
+        lifted = embed(chsh_table, Scenario(3, 3), [0, 1], [0, 1])
+        for t, unused in ((chsh_table, []), (lifted, [2])):
+            na, nb = t.scenario.na, t.scenario.nb
+            starts = [random_strategy(rng, na, nb) for _ in range(6)]
+            for r in (1, 4):
+                b = np.array(starts[r].b_vecs)
+                b[1] = -b[0]
+                starts[r] = QuantumStrategy(starts[r].theta, starts[r].a_vecs, b)
+            a0 = np.array([s.a_vecs for s in starts]).transpose(1, 2, 0)
+            b0 = np.array([s.b_vecs for s in starts]).transpose(1, 2, 0)
+            theta0 = np.array([s.theta for s in starts])
+            a, b, theta, _ = _batch_sweep(*_functional(t), a0, b0, theta0, True)
+            for r, s in enumerate(starts):
+                kept_a = unused + ([0] if r in (1, 4) else [])
+                for vecs, old, kept in ((a, a0, kept_a), (b, b0, unused)):
+                    for x in range(len(vecs)):
+                        if x in kept:
+                            np.testing.assert_array_equal(vecs[x, :, r], old[x, :, r])
+                        else:
+                            assert abs(np.linalg.norm(vecs[x, :, r]) - 1.0) <= 1e-12
+                alone = seesaw_step(t, s)
+                assert abs(alone.theta - theta[r]) <= 1e-12
+                np.testing.assert_allclose(alone.a_vecs, a[..., r], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(alone.b_vecs, b[..., r], rtol=0, atol=1e-12)
+
     def test_bob_gradient_symmetry(self, chsh_table, rng):
         # party swap on CHSH-like symmetric table: bob coefficients follow
         # the same closed form through the transpose
@@ -316,7 +388,8 @@ class TestNewtonModel:
         moved = np.concatenate((s.a_vecs, s.b_vecs)) + steps[:, None, None] * u
         moved /= np.linalg.norm(moved, axis=2, keepdims=True)
         thetas = s.theta + steps * u_theta
-        return _batch_values(d, ua, ub, k0, moved[:, :na], moved[:, na:], thetas)
+        moved = moved.transpose(1, 2, 0)
+        return _batch_values(d, ua, ub, k0, moved[:na], moved[na:], thetas)
 
     @pytest.mark.parametrize("theta", [None, 0.0, QUARTER_PI])
     @pytest.mark.parametrize("free_theta", [True, False])
