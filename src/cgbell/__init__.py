@@ -2,7 +2,10 @@
 
 Local bounds and facet verification by exact arithmetic, two-qubit quantum
 bounds by multi-restart see-saw, white-noise and detection-efficiency
-thresholds, relabeling symmetries and canonical forms, plus a batch CLI.
+thresholds, canonical and correlator forms under local relabeling, plus a
+batch CLI.  The package holds only what these computations run; the slower
+references they are checked against (behaviors, per-strategy values, the
+relabeling group) live with the tests.
 """
 
 from .analysis import (
@@ -28,24 +31,8 @@ from .localpoly import (
     local_bound,
     white_noise_value,
 )
-from .model import (
-    Behavior,
-    CgTable,
-    ParseError,
-    Scenario,
-    ScenarioMismatchError,
-    evaluate,
-    parse_file,
-    serialize_file,
-)
-from .quantum import (
-    QuantumBoundResult,
-    QuantumStrategy,
-    quantum_bound,
-    quantum_value,
-    seesaw_step,
-    strategy_behavior,
-)
+from .model import CgTable, ParseError, Scenario, parse_file, serialize_file
+from .quantum import QuantumBoundResult, QuantumStrategy, quantum_bound
 from .robustness import (
     DetectionAnalysis,
     InconsistencyError,
@@ -53,20 +40,12 @@ from .robustness import (
     detection_threshold,
     noise_resistance,
 )
-from .symmetry import (
-    CorrelatorForm,
-    Relabeling,
-    apply_relabeling,
-    canonical_form,
-    correlation_form,
-    random_relabeling,
-)
+from .symmetry import CorrelatorForm, canonical_form, correlation_form
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "Behavior",
     "CanonGroup",
     "CgTable",
     "CompareResult",
@@ -79,20 +58,16 @@ __all__ = [
     "ParseError",
     "QuantumBoundResult",
     "QuantumStrategy",
-    "Relabeling",
     "Scenario",
-    "ScenarioMismatchError",
     "all_fixtures",
     "analyze_table",
     "analyze_tables",
-    "apply_relabeling",
     "canonical_form",
     "chsh",
     "compare_reports",
     "correlation_form",
     "detect_lifting",
     "detection_threshold",
-    "evaluate",
     "facet_check",
     "group_equivalent",
     "i3322",
@@ -104,12 +79,8 @@ __all__ = [
     "noise_resistance",
     "parse_file",
     "quantum_bound",
-    "quantum_value",
-    "random_relabeling",
     "reference_csv_path",
-    "seesaw_step",
     "serialize_file",
-    "strategy_behavior",
     "to_csv",
     "to_json",
     "to_markdown",

@@ -1,4 +1,4 @@
-"""Collins-Gisin tables: scenarios, inequality coefficients, behaviors, file I/O.
+"""Collins-Gisin tables: scenarios, inequality coefficients, file I/O.
 
 A bipartite scenario where Alice chooses among ``na`` binary-outcome
 measurements and Bob among ``nb`` has ``na*nb + na + nb`` independent
@@ -15,10 +15,15 @@ bound's, is capped at MAX_COEFFICIENT = 2^44: with at most 80 coefficients
 every vertex value, and every doubled one-detector sum of the detection
 analysis, stays below 4 * 80 * 2^44 < 2^53, so it is exact in int64 and in
 float64 alike.
+
+The package never builds a behavior (a point of those coordinates): local
+values come from the int64 vertex grid of localpoly and quantum values from
+the see-saw kernels' coefficients.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -26,6 +31,8 @@ import numpy as np
 
 MAX_SETTINGS = 8
 MAX_COEFFICIENT = 2**44
+# the integers serialize_file writes; int() would also take 1_0 and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -34,10 +41,6 @@ class ParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         self.lineno = lineno
         super().__init__(f"line {lineno}: {message}")
-
-
-class ScenarioMismatchError(ValueError):
-    """Objects disagree on the scenario shape (table vs behavior vs relabeling)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -137,88 +140,6 @@ class CgTable:
         return CgTable(self.scenario, self.d, self.c, self.e, self.bound, name)
 
 
-_BEHAVIOR_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class Behavior:
-    """A no-signalling behavior in CG coordinates.
-
-    ``joint[x][y] = p(00|xy)``, ``marg_a[x] = pA(0|x)``, ``marg_b[y] = pB(0|y)``.
-    Validity (all four outcome probabilities nonnegative for every setting
-    pair) is checked at construction up to a 1e-9 slack.
-    """
-
-    scenario: Scenario
-    joint: np.ndarray
-    marg_a: np.ndarray
-    marg_b: np.ndarray
-
-    def __post_init__(self):
-        na, nb = self.scenario.na, self.scenario.nb
-        # copies, so that freezing them leaves the caller's arrays writeable
-        joint = np.array(self.joint, dtype=float)
-        ma = np.array(self.marg_a, dtype=float)
-        mb = np.array(self.marg_b, dtype=float)
-        if joint.shape != (na, nb) or ma.shape != (na,) or mb.shape != (nb,):
-            raise ValueError("behavior arrays do not match the scenario shape")
-        if not (np.all(np.isfinite(joint)) and np.all(np.isfinite(ma)) and np.all(np.isfinite(mb))):
-            raise ValueError("behavior entries must be finite")
-        tol = _BEHAVIOR_TOL
-        upper = np.minimum(ma[:, None], mb[None, :])
-        if np.any(joint < -tol) or np.any(joint > upper + tol):
-            raise ValueError("p(00|xy) outside [0, min(pA, pB)]")
-        if np.any(ma[:, None] + mb[None, :] - joint > 1 + tol):
-            raise ValueError("p(11|xy) would be negative")
-        for arr in (joint, ma, mb):
-            arr.flags.writeable = False
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "marg_a", ma)
-        object.__setattr__(self, "marg_b", mb)
-
-    @staticmethod
-    def white_noise(scenario: Scenario) -> "Behavior":
-        """Uniformly random outcomes: joint 1/4, marginals 1/2."""
-        return Behavior(
-            scenario,
-            np.full((scenario.na, scenario.nb), 0.25),
-            np.full(scenario.na, 0.5),
-            np.full(scenario.nb, 0.5),
-        )
-
-    @staticmethod
-    def deterministic(scenario: Scenario, alpha: Sequence[int], beta: Sequence[int]) -> "Behavior":
-        """Local deterministic point: output 0 on setting x iff alpha[x] = 1."""
-        a = np.asarray(alpha, dtype=float)
-        b = np.asarray(beta, dtype=float)
-        return Behavior(scenario, np.outer(a, b), a, b)
-
-    def mix(self, other: "Behavior", weight: float) -> "Behavior":
-        """Convex combination weight*self + (1-weight)*other."""
-        if self.scenario != other.scenario:
-            raise ScenarioMismatchError("cannot mix behaviors of different scenarios")
-        w = float(weight)
-        return Behavior(
-            self.scenario,
-            w * self.joint + (1 - w) * other.joint,
-            w * self.marg_a + (1 - w) * other.marg_a,
-            w * self.marg_b + (1 - w) * other.marg_b,
-        )
-
-
-def evaluate(table: CgTable, behavior: Behavior) -> float:
-    """Value of the Bell functional on a behavior."""
-    if table.scenario != behavior.scenario:
-        raise ScenarioMismatchError(
-            f"table is {table.scenario}, behavior is {behavior.scenario}"
-        )
-    return float(
-        np.sum(table.d * behavior.joint)
-        + table.c @ behavior.marg_a
-        + table.e @ behavior.marg_b
-    )
-
-
 # --- inequality file format -------------------------------------------------
 #
 # UTF-8 text, '#' starts a comment, blank lines ignored. One block per
@@ -246,10 +167,9 @@ def _parse_ints(lineno: int, tokens: Sequence[str], count: int, what: str) -> li
         raise ParseError(lineno, f"expected {count} entries for {what}, got {len(tokens)}")
     values = []
     for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ParseError(lineno, f"non-integer coefficient {tok!r} in {what}") from None
+        if not _INTEGER.fullmatch(tok):
+            raise ParseError(lineno, f"non-integer coefficient {tok!r} in {what}")
+        values.append(int(tok))
         if abs(values[-1]) > MAX_COEFFICIENT:
             raise ParseError(lineno, f"coefficient {tok} in {what} exceeds 2**44 in magnitude")
     return values

@@ -13,11 +13,10 @@ The Bell functional is linear in each measurement vector separately and a
 shifted cosine in theta, so see-saw sweeps (all of Alice, all of Bob, then
 theta; Werner and Wolf, QIC 1 (2001)) are exact block maximizations and the
 value never decreases.
-One batched sweep steps all restarts in lockstep; seesaw_step runs it on a
-batch of one (alike up to rounding, as BLAS picks kernels by size).  Each
-party's vectors form one (n, 3, R) array, restarts last and contiguous, so a
-half step is one 2-D matrix product and the other calls run over rows of R
-values, not over strided rows of 3 where call overhead would set the cost.
+One batched sweep steps all restarts in lockstep.  Each party's vectors
+form one (n, 3, R) array, restarts last and contiguous, so a half step is
+one 2-D matrix product and the other calls run over rows of R values, not
+over strided rows of 3 where call overhead would set the cost.
 
 quantum_bound works in two phases.  The sweeps, at most SWEEP_CAP of them,
 bring every restart near a local maximum; they stop once each restart has
@@ -39,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Behavior, CgTable, Scenario, evaluate
+from .model import CgTable
 
 _UNIT_TOL = 1e-12
 QUARTER_PI = math.pi / 4
@@ -85,38 +84,6 @@ class QuantumBoundResult:
     value: float
     strategy: QuantumStrategy
     converged: bool  # the strategy is a certified local maximum
-
-
-def _check_settings(scenario: Scenario, s: QuantumStrategy) -> None:
-    na, nb = len(s.a_vecs), len(s.b_vecs)
-    if (na, nb) != (scenario.na, scenario.nb):
-        raise ValueError(f"strategy has {na}x{nb} settings, scenario is {scenario}")
-
-
-def strategy_behavior(scenario: Scenario, s: QuantumStrategy) -> Behavior:
-    """The CG behavior produced by a strategy, by the closed form above."""
-    _check_settings(scenario, s)
-    ct, st = math.cos(2 * s.theta), math.sin(2 * s.theta)
-    a, b = s.a_vecs, s.b_vecs
-    az, bz = a[:, 2], b[:, 2]
-    joint = 1.0 + ct * (az[:, None] + bz[None, :]) + np.outer(az, bz)
-    joint += st * (np.outer(a[:, 0], b[:, 0]) - np.outer(a[:, 1], b[:, 1]))
-    return Behavior(scenario, joint / 4, (1 + ct * az) / 2, (1 + ct * bz) / 2)
-
-
-def quantum_value(table: CgTable, s: QuantumStrategy) -> float:
-    """Value of the Bell functional on the behavior of a strategy."""
-    return evaluate(table, strategy_behavior(table.scenario, s))
-
-
-def seesaw_step(table: CgTable, s: QuantumStrategy, update_theta: bool = True) -> QuantumStrategy:
-    """One full sweep: all Alice vectors, all Bob vectors, then theta, each an
-    exact block maximization, so the value never falls.  This is
-    quantum_bound's batched sweep run on a batch of one."""
-    _check_settings(table.scenario, s)
-    a, b = s.a_vecs[..., None], s.b_vecs[..., None]
-    a, b, theta, _ = _batch_sweep(*_functional(table), a, b, np.array([s.theta]), update_theta)
-    return QuantumStrategy(theta[0], a[..., 0], b[..., 0])
 
 
 # --- vectorized multi-restart kernel -----------------------------------------

@@ -1,10 +1,11 @@
-"""Relabeling group on CG tables: input permutations, outcome flips, party swap.
+"""Canonical and correlator forms of CG tables under the relabeling group.
 
-A relabeling is applied to a table as flips first, then input permutations,
-then the optional party swap.  Every group element has exactly one such
-normal form, (flips, permutations, swap).  Nothing here walks an orbit:
-only the tests enumerate one, through these normal forms, to check the
-closed forms below against it.
+The local relabeling group is generated by input permutations, outcome
+flips and, in square scenarios, the party swap.  Every element has exactly
+one normal form: flips first, then input permutations, then the optional
+swap.  Nothing here builds a group element or walks an orbit; both forms
+below are reached in closed form.  The tests hold the group type and check
+those closed forms against orbits enumerated through the normal forms.
 
 Flipping Alice's outcome at setting x rewrites the functional through
 p(00|xy) -> pB(0|y) - p(00|xy) and pA(0|x) -> 1 - pA(0|x), giving the
@@ -43,52 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .localpoly import _bit_rows, _vertex_values
-from .model import CgTable, Scenario, ScenarioMismatchError
-
-def _check_perm(perm: Sequence[int], what: str) -> tuple[int, ...]:
-    p = tuple(int(v) for v in perm)
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"{what} is not a permutation of 0..{len(p) - 1}: {p}")
-    return p
-
-
-def _check_bits(bits: Sequence[int], what: str) -> tuple[int, ...]:
-    b = tuple(int(v) for v in bits)
-    if not all(v in (0, 1) for v in b):
-        raise ValueError(f"{what} must be a bit vector, got {b}")
-    return b
-
-
-@dataclass(frozen=True)
-class Relabeling:
-    """One element of the local relabeling group.
-
-    ``perm_a[x]`` is the original Alice setting placed at slot x (same for
-    Bob); ``flip_a[x] = 1`` flips Alice's outcome at original setting x;
-    ``swap_parties`` exchanges the parties and is only compatible with
-    square scenarios.
-    """
-
-    perm_a: tuple[int, ...]
-    perm_b: tuple[int, ...]
-    flip_a: tuple[int, ...]
-    flip_b: tuple[int, ...]
-    swap_parties: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm_a", _check_perm(self.perm_a, "perm_a"))
-        object.__setattr__(self, "perm_b", _check_perm(self.perm_b, "perm_b"))
-        object.__setattr__(self, "flip_a", _check_bits(self.flip_a, "flip_a"))
-        object.__setattr__(self, "flip_b", _check_bits(self.flip_b, "flip_b"))
-        if len(self.flip_a) != len(self.perm_a) or len(self.flip_b) != len(self.perm_b):
-            raise ValueError("flip vectors must match permutation lengths")
-        if self.swap_parties and len(self.perm_a) != len(self.perm_b):
-            raise ScenarioMismatchError("party swap requires equal setting counts")
+from .model import CgTable
 
 
 def _flipped(
@@ -106,42 +67,6 @@ def _flipped(
     e = sb * (table.e + fa_d)
     bound = table.bound - fa @ table.c - fb @ table.e - (fa_d * fb).sum(axis=1)
     return d, c, e, bound
-
-
-def apply_relabeling(table: CgTable, r: Relabeling) -> CgTable:
-    """The table representing the same functional after relabeling."""
-    na, nb = table.scenario.na, table.scenario.nb
-    if len(r.perm_a) != na or len(r.perm_b) != nb:
-        raise ScenarioMismatchError(
-            f"relabeling is for {len(r.perm_a)}x{len(r.perm_b)}, table is {table.scenario}"
-        )
-    if r.swap_parties and na != nb:
-        raise ScenarioMismatchError("party swap requires a square scenario")
-
-    d, c, e, bound = (
-        v[0] for v in _flipped(table, np.array([r.flip_a]), np.array([r.flip_b]))
-    )
-    d = d[np.ix_(r.perm_a, r.perm_b)]
-    c = c[list(r.perm_a)]
-    e = e[list(r.perm_b)]
-    scenario = table.scenario
-    if r.swap_parties:
-        d = d.T
-        c, e = e, c
-        scenario = Scenario(table.scenario.nb, table.scenario.na)
-    return CgTable(scenario, d, c, e, int(bound), table.name)
-
-
-def random_relabeling(scenario: Scenario, rng: np.random.Generator) -> Relabeling:
-    na, nb = scenario.na, scenario.nb
-    swap = bool(na == nb and rng.integers(2))
-    return Relabeling(
-        tuple(int(v) for v in rng.permutation(na)),
-        tuple(int(v) for v in rng.permutation(nb)),
-        tuple(int(v) for v in rng.integers(0, 2, size=na)),
-        tuple(int(v) for v in rng.integers(0, 2, size=nb)),
-        swap,
-    )
 
 
 def _divide_by_content(table: CgTable) -> CgTable:

@@ -8,16 +8,102 @@ per-assignment Fraction formulas, kept here as references for the integer
 kernels that replaced them, and canonical forms and correlator forms come
 from the earlier scans over the relabeling orbit and the earlier enumeration
 of row orders.
+
+The package's pipeline never builds a behavior or a group element, so the
+types for them live here: Behavior, with evaluate for the functional's
+value on one, strategy_behavior and quantum_value for the closed form of a
+two-qubit strategy, and Relabeling, with apply_relabeling and
+random_relabeling, to move tables along their orbits.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from cgbell import Behavior, CgTable, evaluate
+from cgbell import CgTable, Scenario
 from cgbell.localpoly import _bit_rows, _vertex_values
+
+_SLACK = 1e-9  # the rounding a valid behavior's probabilities may carry
+
+
+@dataclass(frozen=True, eq=False)
+class Behavior:
+    """A no-signalling behavior in CG coordinates.
+
+    ``joint[x][y] = p(00|xy)``, ``marg_a[x] = pA(0|x)``, ``marg_b[y] = pB(0|y)``.
+    Construction checks that all four outcome probabilities of every
+    setting pair are nonnegative, up to a 1e-9 slack, so the references
+    that build behaviors build valid ones.
+    """
+
+    scenario: Scenario
+    joint: np.ndarray
+    marg_a: np.ndarray
+    marg_b: np.ndarray
+
+    def __post_init__(self):
+        na, nb = self.scenario.na, self.scenario.nb
+        joint = np.array(self.joint, dtype=float)
+        ma = np.array(self.marg_a, dtype=float)
+        mb = np.array(self.marg_b, dtype=float)
+        if joint.shape != (na, nb) or ma.shape != (na,) or mb.shape != (nb,):
+            raise ValueError("behavior arrays do not match the scenario shape")
+        upper = np.minimum(ma[:, None], mb[None, :])
+        if np.any(joint < -_SLACK) or np.any(joint > upper + _SLACK):
+            raise ValueError("p(00|xy) outside [0, min(pA, pB)]")
+        if np.any(ma[:, None] + mb[None, :] - joint > 1 + _SLACK):
+            raise ValueError("p(11|xy) would be negative")
+        object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "marg_a", ma)
+        object.__setattr__(self, "marg_b", mb)
+
+    @staticmethod
+    def white_noise(scenario: Scenario) -> "Behavior":
+        """Uniformly random outcomes: joint 1/4, marginals 1/2."""
+        return Behavior(
+            scenario,
+            np.full((scenario.na, scenario.nb), 0.25),
+            np.full(scenario.na, 0.5),
+            np.full(scenario.nb, 0.5),
+        )
+
+    @staticmethod
+    def deterministic(scenario: Scenario, alpha, beta) -> "Behavior":
+        """Local deterministic point: output 0 on setting x iff alpha[x] = 1."""
+        a = np.asarray(alpha, dtype=float)
+        b = np.asarray(beta, dtype=float)
+        return Behavior(scenario, np.outer(a, b), a, b)
+
+
+def evaluate(table: CgTable, behavior: Behavior) -> float:
+    """Value of the Bell functional on a behavior."""
+    if table.scenario != behavior.scenario:
+        raise ValueError(f"table is {table.scenario}, behavior is {behavior.scenario}")
+    return float(
+        np.sum(table.d * behavior.joint)
+        + table.c @ behavior.marg_a
+        + table.e @ behavior.marg_b
+    )
+
+
+def strategy_behavior(scenario: Scenario, s) -> Behavior:
+    """The CG behavior of a two-qubit strategy (theta, a_vecs, b_vecs), by
+    the closed form in the cgbell.quantum docstring."""
+    ct, st = math.cos(2 * s.theta), math.sin(2 * s.theta)
+    a, b = s.a_vecs, s.b_vecs
+    az, bz = a[:, 2], b[:, 2]
+    joint = 1.0 + ct * (az[:, None] + bz[None, :]) + np.outer(az, bz)
+    joint += st * (np.outer(a[:, 0], b[:, 0]) - np.outer(a[:, 1], b[:, 1]))
+    return Behavior(scenario, joint / 4, (1 + ct * az) / 2, (1 + ct * bz) / 2)
+
+
+def quantum_value(table: CgTable, s) -> float:
+    """Value of the Bell functional on the behavior of a strategy."""
+    return evaluate(table, strategy_behavior(table.scenario, s))
+
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -199,14 +285,56 @@ def eta_roots(table: CgTable, q_me: float):
     return best
 
 
-def relabel_behavior(behavior: Behavior, r) -> Behavior:
+@dataclass(frozen=True)
+class Relabeling:
+    """One element of the local relabeling group, in the normal form of the
+    cgbell.symmetry docstring: outcome flips, then input permutations, then
+    the optional party swap.
+
+    ``perm_a[x]`` is the original Alice setting placed at slot x (same for
+    Bob); ``flip_a[x] = 1`` flips Alice's outcome at original setting x;
+    ``swap_parties`` exchanges the parties.
+    """
+
+    perm_a: tuple[int, ...]
+    perm_b: tuple[int, ...]
+    flip_a: tuple[int, ...]
+    flip_b: tuple[int, ...]
+    swap_parties: bool = False
+
+
+def apply_relabeling(table: CgTable, r: Relabeling) -> CgTable:
+    """The table representing the same functional after relabeling."""
+    d, c, e, bound = (v[0] for v in _flipped(table, np.array([r.flip_a]), np.array([r.flip_b])))
+    d = d[np.ix_(r.perm_a, r.perm_b)]
+    c = c[list(r.perm_a)]
+    e = e[list(r.perm_b)]
+    scenario = table.scenario
+    if r.swap_parties:
+        d, c, e = d.T, e, c
+        scenario = Scenario(scenario.nb, scenario.na)
+    return CgTable(scenario, d, c, e, int(bound), table.name)
+
+
+def random_relabeling(scenario: Scenario, rng: np.random.Generator) -> Relabeling:
+    """A random group element; the swap only in square scenarios."""
+    na, nb = scenario.na, scenario.nb
+    swap = bool(na == nb and rng.integers(2))
+    return Relabeling(
+        tuple(int(v) for v in rng.permutation(na)),
+        tuple(int(v) for v in rng.permutation(nb)),
+        tuple(int(v) for v in rng.integers(0, 2, size=na)),
+        tuple(int(v) for v in rng.integers(0, 2, size=nb)),
+        swap,
+    )
+
+
+def relabel_behavior(behavior: Behavior, r: Relabeling) -> Behavior:
     """Transform a behavior's probabilities through a relabeling directly.
 
     Mirrors the application order used on tables: outcome flips, then input
     permutations, then the party swap.
     """
-    from cgbell import Scenario
-
     joint = np.array(behavior.joint)
     ma = np.array(behavior.marg_a)
     mb = np.array(behavior.marg_b)
@@ -436,8 +564,6 @@ def canonical_form_orders(table: CgTable) -> CgTable:
 def correlation_form_search(table: CgTable):
     """(g, constant, relabeling) of the first outcome-flip and party-swap
     relabeling whose table satisfies the correlator condition, else None."""
-    from cgbell import Relabeling, apply_relabeling
-
     na, nb = table.scenario.na, table.scenario.nb
     swaps = (False, True) if na == nb else (False,)
     for swap in swaps:

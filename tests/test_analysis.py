@@ -23,10 +23,8 @@ from cgbell import (
     analysis,
     analyze_table,
     analyze_tables,
-    apply_relabeling,
     chsh,
     i3322,
-    random_relabeling,
     reference_csv_path,
     to_csv,
     to_json,
@@ -35,6 +33,7 @@ from cgbell import (
 from cgbell.analysis import CSV_COLUMNS, DEFAULT_TOLERANCES
 from cgbell.cli import main
 
+from oracles import apply_relabeling, random_relabeling
 from test_localpoly import embed
 
 

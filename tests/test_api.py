@@ -10,6 +10,7 @@ variables when it is imported.
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,16 @@ REMOVED = (
     "born_marginal_a",
     "born_marginal_b",
     "exact_rank",
+    # verification-only: references in tests/oracles.py and tests/test_quantum.py
+    "Behavior",
+    "ScenarioMismatchError",
+    "evaluate",
+    "strategy_behavior",
+    "quantum_value",
+    "seesaw_step",
+    "Relabeling",
+    "apply_relabeling",
+    "random_relabeling",
 )
 
 
@@ -52,6 +63,8 @@ def test_exports_resolve_once():
 def test_removed_names_stay_unexported(name):
     assert name not in cgbell.__all__
     assert not hasattr(cgbell, name)
+    for module in pkgutil.iter_modules(cgbell.__path__):
+        assert not hasattr(importlib.import_module(f"cgbell.{module.name}"), name), module.name
 
 
 def test_benchmark_hooks_resolve(spans):

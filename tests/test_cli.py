@@ -6,18 +6,17 @@ import pytest
 from cgbell import (
     Scenario,
     all_fixtures,
-    apply_relabeling,
     canonical_form,
     chsh,
     i3322,
     parse_file,
     quantum,
-    random_relabeling,
     reference_csv_path,
     serialize_file,
 )
 from cgbell.cli import main
 
+from oracles import apply_relabeling, random_relabeling
 from test_localpoly import embed
 
 # a row failure as `cgbell analyze` reports it on standard error

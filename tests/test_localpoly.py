@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgbell import (
-    Behavior,
     CgTable,
     FacetReport,
     Scenario,
     detect_lifting,
-    evaluate,
     facet_check,
     local_bound,
     white_noise_value,
@@ -69,8 +67,8 @@ class TestEnumerate:
             values = _vertex_values(t)
             for i, alpha in enumerate(_bit_rows(na).tolist()):
                 for j, beta in enumerate(_bit_rows(nb).tolist()):
-                    point = Behavior.deterministic(t.scenario, alpha, beta)
-                    assert values[i, j] == evaluate(t, point)
+                    point = oracles.Behavior.deterministic(t.scenario, alpha, beta)
+                    assert values[i, j] == oracles.evaluate(t, point)
 
 
 class TestLocalBound:

@@ -5,21 +5,14 @@ import numpy as np
 import pytest
 
 from cgbell import (
-    Behavior,
     CgTable,
     QuantumStrategy,
     Scenario,
-    apply_relabeling,
     chsh,
-    evaluate,
     i3322,
     i3422_3,
     local_bound,
     quantum_bound,
-    quantum_value,
-    random_relabeling,
-    seesaw_step,
-    strategy_behavior,
     white_noise_value,
 )
 from cgbell import quantum
@@ -40,6 +33,14 @@ from cgbell.quantum import (
 )
 
 import oracles
+from oracles import (
+    Behavior,
+    Relabeling,
+    apply_relabeling,
+    evaluate,
+    quantum_value,
+    random_relabeling,
+)
 from test_localpoly import embed, random_table
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -51,6 +52,21 @@ CHSH_OPTIMAL = dict(
     a_vecs=np.array([Z, X]),
     b_vecs=np.array([[S2, 0, S2], [-S2, 0, S2]]),
 )
+
+
+def kernel_value(table, s):
+    """The functional at a strategy, by quantum_bound's kernel on a batch of one."""
+    a, b, theta = s.a_vecs[..., None], s.b_vecs[..., None], np.array([s.theta])
+    return _batch_values(*_functional(table), a, b, theta)[0]
+
+
+def seesaw_step(table, s, update_theta=True):
+    """One full sweep (all Alice vectors, all Bob vectors, then theta) of one
+    strategy: quantum_bound's batched sweep on a batch of one, alike up to
+    rounding, as BLAS picks kernels by size."""
+    a, b, theta = s.a_vecs[..., None], s.b_vecs[..., None], np.array([s.theta])
+    a, b, theta, _ = _batch_sweep(*_functional(table), a, b, theta, update_theta)
+    return QuantumStrategy(theta[0], a[..., 0], b[..., 0])
 
 
 def block_coefficients(table, s, party):
@@ -111,10 +127,17 @@ def random_strategy(rng, na, nb, theta=None):
     return QuantumStrategy(theta, a, b)
 
 
+# the 1x1 functionals p(00), pA(0) and pB(0)
+BORN_TABLES = [
+    CgTable(Scenario(1, 1), d, c, e, 0)
+    for d, c, e in (([[1]], [0], [0]), ([[0]], [1], [0]), ([[0]], [0], [1]))
+]
+
+
 def born(theta, a, b):
-    """(p(00), pA(0), pB(0)) for vectors a, b, through strategy_behavior on 1x1."""
-    behavior = strategy_behavior(Scenario(1, 1), QuantumStrategy(theta, [a], [b]))
-    return behavior.joint[0, 0], behavior.marg_a[0], behavior.marg_b[0]
+    """(p(00), pA(0), pB(0)) for vectors a, b, through the see-saw kernel on 1x1."""
+    s = QuantumStrategy(theta, [a], [b])
+    return tuple(kernel_value(t, s) for t in BORN_TABLES)
 
 
 def random_unit(rng):
@@ -185,7 +208,7 @@ class TestQuantumStrategy:
 class TestQuantumValue:
     def test_chsh_standard_optimum(self, chsh_table):
         s = QuantumStrategy(**CHSH_OPTIMAL)
-        assert quantum_value(chsh_table, s) == pytest.approx(
+        assert kernel_value(chsh_table, s) == pytest.approx(
             (math.sqrt(2) - 1) / 2, abs=1e-12
         )
 
@@ -199,7 +222,7 @@ class TestQuantumValue:
             ones = Behavior.deterministic(
                 t.scenario, [1] * t.scenario.na, [1] * t.scenario.nb
             )
-            assert quantum_value(t, s) == pytest.approx(evaluate(t, ones), abs=1e-12)
+            assert kernel_value(t, s) == pytest.approx(evaluate(t, ones), abs=1e-12)
 
     def test_white_noise_reference(self, fixtures):
         # the maximally mixed state gives the white-noise value no matter
@@ -210,8 +233,9 @@ class TestQuantumValue:
             )
 
     def test_behavior_matches_born(self, chsh_table, rng):
+        # the closed form that quantum_value references, against the trace
         s = random_strategy(rng, 2, 2)
-        b = strategy_behavior(chsh_table.scenario, s)
+        b = oracles.strategy_behavior(chsh_table.scenario, s)
         for x in range(2):
             for y in range(2):
                 assert b.joint[x, y] == pytest.approx(
@@ -289,17 +313,6 @@ class TestSeesaw:
                 analytic = float(coeffs[x] @ tangent)
                 assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
-    def test_setting_counts_are_checked(self, i3322_table, rng):
-        # the batched kernel reshapes the vectors, so a wrong count must be
-        # caught before it, with strategy_behavior's message
-        s = QuantumStrategy(**CHSH_OPTIMAL)
-        for step in (seesaw_step, lambda t, s: strategy_behavior(t.scenario, s)):
-            with pytest.raises(ValueError, match="strategy has 2x2 settings, scenario is 3x3"):
-                step(i3322_table, s)
-        t = random_table(rng, 3, 2)
-        with pytest.raises(ValueError, match="strategy has 2x3 settings, scenario is 3x2"):
-            seesaw_step(t, random_strategy(rng, 2, 3))
-
     def test_theta_step_against_brute_force(self):
         # theta reaches the maximum of k1 cos 2t + k2 sin 2t over a grid of
         # [0, pi/4]; where 0 and pi/4 tie exactly, or nothing depends on
@@ -365,10 +378,7 @@ class TestSeesaw:
         s = random_strategy(rng, 2, 2)
         swapped = QuantumStrategy(s.theta, s.b_vecs, s.a_vecs)
         transposed = apply_relabeling(
-            chsh_table,
-            type(random_relabeling(chsh_table.scenario, rng))(
-                (0, 1), (0, 1), (0, 0), (0, 0), swap_parties=True
-            ),
+            chsh_table, Relabeling((0, 1), (0, 1), (0, 0), (0, 0), swap_parties=True)
         )
         np.testing.assert_allclose(
             block_coefficients(chsh_table, s, "b"),
