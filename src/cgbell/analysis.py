@@ -3,8 +3,13 @@
 One report row per inequality: local bound L, white-noise value N, quantum
 bound Q with its Schmidt angle, visibility thresholds for the optimal and
 the maximally entangled state, symmetric detection efficiency, facet flag,
-correlation-form flag and lifting origin.  Whether both see-saws converged
+correlation-form flag and lifting origin.  Whether the see-saws converged
 is kept on the report but not rendered.
+
+The theta = pi/4 see-saw runs only when it could matter: when the spectral
+bound of quantum._pi4_cannot_violate shows that no value it could return
+lies above L + 1e-9, lambda_me and eta_sym are 1 whatever it returns, and
+L stands in for its value.
 
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
@@ -28,8 +33,8 @@ import numpy as np
 
 from .localpoly import detect_lifting, facet_check, local_bound, white_noise_value
 from .model import CgTable, Scenario
-from .quantum import QUARTER_PI, quantum_bound
-from .robustness import detection_threshold, noise_resistance
+from .quantum import QUARTER_PI, _pi4_cannot_violate, quantum_bound
+from .robustness import _VIOLATION_TOL, detection_threshold, noise_resistance
 from .symmetry import canonical_form, correlation_form
 
 CSV_COLUMNS = [
@@ -82,7 +87,9 @@ class AnalysisReport:
     is_facet: bool
     has_correlation_form: bool
     lifted_from: Optional[str]
-    converged: bool  # both see-saws (free theta and pi/4) ended at a certified local maximum
+    # the free-theta see-saw, and the pi/4 one when it ran, ended at a
+    # certified local maximum
+    converged: bool
 
     def validate(self) -> None:
         finite = [self.quantum, self.theta_over_pi, self.lam, self.lam_me, self.eta_sym]
@@ -112,6 +119,8 @@ def analyze_table(
 
     The two optimizations (free theta, theta = pi/4) get seeds derived from
     (seed, index), so rows are reproducible independently of batch order.
+    The pi/4 one is skipped when a spectral bound proves it cannot find a
+    violation.
     """
     bound = local_bound(table)
     noise = white_noise_value(table)
@@ -119,13 +128,18 @@ def analyze_table(
     lift = detect_lifting(table)
     corr = correlation_form(table)
     free = quantum_bound(table, restarts=restarts, seed=_derived_seed(seed, index, 0), tol=tol)
-    fixed = quantum_bound(
-        table,
-        fix_theta=QUARTER_PI,
-        restarts=restarts,
-        seed=_derived_seed(seed, index, 1),
-        tol=tol,
-    )
+    if _pi4_cannot_violate(table, bound + _VIOLATION_TOL):
+        # every value the pi/4 see-saw could return gives lambda_me = eta_sym = 1, as L does
+        q_me, converged = bound, free.converged
+    else:
+        fixed = quantum_bound(
+            table,
+            fix_theta=QUARTER_PI,
+            restarts=restarts,
+            seed=_derived_seed(seed, index, 1),
+            tol=tol,
+        )
+        q_me, converged = fixed.value, free.converged and fixed.converged
     report = AnalysisReport(
         index=index,
         name=table.name,
@@ -135,12 +149,12 @@ def analyze_table(
         quantum=free.value,
         theta_over_pi=free.strategy.theta / math.pi,
         lam=noise_resistance(table, free.value),
-        lam_me=noise_resistance(table, fixed.value),
-        eta_sym=detection_threshold(table, fixed.value).eta,
+        lam_me=noise_resistance(table, q_me),
+        eta_sym=detection_threshold(table, q_me).eta,
         is_facet=facet.is_facet,
         has_correlation_form=corr is not None,
         lifted_from=str(lift.reduced.scenario) if lift else None,
-        converged=free.converged and fixed.converged,
+        converged=converged,
     )
     report.validate()
     return report

@@ -28,6 +28,16 @@ Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
 ch. 4-7), which stop at a certified local maximum: the gradient below
 tolerance and the Hessian negative semidefinite up to the gauge's zero
 modes.
+
+At theta = pi/4 the marginal terms vanish and the functional is a pure
+correlator, k0 + sum_xy w[x, y] a[x] . (R b[y]) with R = diag(1, -1, 1),
+so a Tsirelson-type bound applies (Tsirelson, Lett. Math. Phys. 4, 93
+(1980)): by Cauchy-Schwarz over the three components the value is at most
+k0 + |w|_2 sqrt(na' nb'), with na' and nb' the settings whose row or column
+of w is nonzero.  _pi4_cannot_violate checks that this bound plus a
+rounding margin of _ROUNDING * scale stays at or below a given value, so
+that no pi/4 see-saw can return more; analyze_table gives it L + 1e-9 and
+skips the pi/4 see-saw when it holds.
 """
 
 from __future__ import annotations
@@ -100,6 +110,11 @@ def _functional(table: CgTable):
     """
     w, c, e = table.d / 4, table.c / 2, table.e / 2
     return w, w.sum(axis=1) + c, w.sum(axis=0) + e, w.sum() + c.sum() + e.sum()
+
+
+def _scale(table: CgTable) -> float:
+    """1 + sum|d|/4 + sum|c|/2 + sum|e|/2, the size of the functional's values."""
+    return 1 + np.abs(table.d).sum() / 4 + np.abs(table.c).sum() / 2 + np.abs(table.e).sum() / 2
 
 
 def _trig(theta, out=None):
@@ -223,6 +238,31 @@ def _negative_definite(m, diag, mu):
     return True
 
 
+def _pi4_cannot_violate(table: CgTable, bound) -> bool:
+    """Whether no strategy at theta = pi/4 has a value above bound - rounding,
+    so that no pi/4 see-saw can return a value above bound.
+
+    At pi/4 the value is k0 + sum_xy w[x, y] a[x] . (R b[y]), R = diag(1, -1, 1),
+    at most k0 + |w|_2 sqrt(na' nb') with na', nb' the settings whose row or
+    column of w is nonzero.  |w|_2 < s is tested as a Cholesky factor of
+    [[s I, w], [w^T, s I]], positive definite exactly then (its eigenvalues
+    are s +- the singular values of w, and s), with
+    s = (bound - k0 - _ROUNDING * scale) / sqrt(na' nb').  Unlike s^2 I - w^T w
+    it needs no matrix product, which would page in another BLAS routine.
+    """
+    w, _, _, k0 = _functional(table)
+    slack = bound - k0 - _ROUNDING * _scale(table)
+    if slack < 0:
+        return False
+    used = np.count_nonzero(w.any(axis=1)) * np.count_nonzero(w.any(axis=0))
+    if used == 0:
+        return True  # w = 0: every value is k0
+    na = len(w)
+    m = np.zeros((na + w.shape[1],) * 2)
+    m[:na, na:], m[na:, :na] = w, w.T
+    return _negative_definite(m, 0.0, slack / math.sqrt(used))
+
+
 def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale):
     """Damped Newton ascent of one restart from (a, b, theta), which has
     the given value, in at most POLISH_STEPS steps.
@@ -309,7 +349,7 @@ def quantum_bound(
     else:
         theta = np.full(restarts, float(fix_theta))
     f = _functional(table)
-    scale = 1 + np.abs(table.d).sum() / 4 + np.abs(table.c).sum() / 2 + np.abs(table.e).sum() / 2
+    scale = _scale(table)
     values = _batch_values(*f, a, b, theta)
     trig = _trig(theta)  # carried from sweep to sweep
     done = np.zeros(restarts, dtype=bool)

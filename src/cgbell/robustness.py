@@ -54,7 +54,8 @@ def noise_resistance(table: CgTable, q: float) -> float:
 
     ``q`` should come from quantum_bound: free theta for the optimal-state
     threshold, theta = pi/4 for the maximally entangled one.  Returns 1.0
-    when there is no violation.
+    when there is no violation, q <= L + 1e-9, so q may be L itself when a
+    bound already proves that no quantum value exceeds L + 1e-9.
     """
     bound = local_bound(table)
     noise = white_noise_value(table)
@@ -114,7 +115,8 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     2^(na+nb) per-setting no-click assignments are solved and the smallest
     threshold returned.  Ties go to the lexicographically smallest
     assignment.  Returns eta = 1 when the state does not violate at full
-    efficiency.
+    efficiency, q_me <= L + 1e-9, so q_me may be L itself when a bound
+    already proves that no pi/4 value exceeds L + 1e-9.
     """
     values = _vertex_values(table)
     bound = int(values.max())

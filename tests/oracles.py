@@ -157,6 +157,25 @@ def bell_operator(table: CgTable, a_vecs, b_vecs) -> np.ndarray:
     return op + sum(int(table.e[y]) * np.kron(_I2, bob[y]) for y in range(len(bob)))
 
 
+def pi4_correlator_bound(table: CgTable) -> float:
+    """An upper bound on the functional over all strategies at theta = pi/4,
+    by SVD.
+
+    There every marginal is 1/2 and p(00|xy) = (1 + a[x] . R b[y])/4 with
+    R = diag(1, -1, 1), so the value is k0 + sum_xy d[x, y]/4 a[x] . R b[y],
+    k0 = sum(d)/4 + (sum(c) + sum(e))/2.  By Cauchy-Schwarz over the three
+    components, the sum is at most sigma_max(d/4) sqrt(na' nb'), with na'
+    and nb' the settings whose row or column of d is nonzero.
+    """
+    d = np.asarray(table.d, dtype=float)
+    k0 = d.sum() / 4 + (np.sum(table.c) + np.sum(table.e)) / 2
+    rows, cols = np.any(d != 0, axis=1).sum(), np.any(d != 0, axis=0).sum()
+    if rows == 0:
+        return float(k0)
+    sigma = np.linalg.svd(d / 4, compute_uv=False)[0]
+    return float(k0 + sigma * math.sqrt(rows * cols))
+
+
 def local_bound_bruteforce(table: CgTable) -> float:
     """Maximum over explicitly constructed deterministic behaviors."""
     na, nb = table.scenario.na, table.scenario.nb

@@ -25,6 +25,7 @@ from cgbell import (
     analyze_tables,
     chsh,
     i3322,
+    local_bound,
     reference_csv_path,
     to_csv,
     to_json,
@@ -32,6 +33,7 @@ from cgbell import (
 )
 from cgbell.analysis import CSV_COLUMNS, DEFAULT_TOLERANCES
 from cgbell.cli import main
+from cgbell.quantum import QUARTER_PI
 
 from oracles import apply_relabeling, random_relabeling
 from test_localpoly import embed
@@ -199,3 +201,55 @@ def test_markdown_escapes_a_pipe_in_a_name(reports):
     cells = re.split(r"(?<!\\)\|", row)[1:-1]
     assert len(cells) == len(CSV_COLUMNS) == 13
     assert cells[1] == r" a\|b "
+
+
+def counted_seesaws(monkeypatch):
+    """The fix_theta keyword of each quantum_bound call analyze_table makes,
+    None when not given."""
+    calls, real = [], analysis.quantum_bound
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("fix_theta"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "quantum_bound", counted)
+    return calls
+
+
+CERTIFIED = {
+    # -p(00|00) <= 0 in 4x4 reaches L = 0 at pi/4.  The spectral bound is 0
+    # because it counts the one setting each party uses (with all four it
+    # would be 3/4), and 0 is within the 1e-9 by which Q must pass L
+    "POS_4x4": CgTable(Scenario(4, 4), np.diag([-1, 0, 0, 0]), [0] * 4, [0] * 4, 0),
+    # w = 0: the value at pi/4 is the constant k0
+    "ZERO_4x4": CgTable(Scenario(4, 4), np.zeros((4, 4), int), [0] * 4, [0] * 4, 0),
+    "RANDOM_6x6": CgTable(
+        Scenario(6, 6),
+        [[2, -3, 1, 0, 3, -1], [-2, 1, 3, -3, 0, 2], [1, 2, -1, 3, -2, 0],
+         [0, -1, 2, 1, 3, -3], [3, 0, -2, 2, -1, 1], [-3, 2, 0, -1, 1, 3]],
+        [1, -2, 0, 3, -1, 2],
+        [-1, 0, 2, -3, 1, 1],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_a_certified_table_runs_the_free_seesaw_only(monkeypatch, name):
+    table = CERTIFIED[name]
+    table = CgTable(table.scenario, table.d, table.c, table.e, local_bound(table), name)
+    calls = counted_seesaws(monkeypatch)
+    report = analyze_table(table)
+    assert calls == [None]
+    calls.clear()
+    monkeypatch.setattr(analysis, "_pi4_cannot_violate", lambda table, bound: False)
+    assert analyze_table(table) == report
+    assert calls == [None, QUARTER_PI]
+
+
+def test_fixtures_run_both_seesaws(monkeypatch):
+    calls = counted_seesaws(monkeypatch)
+    for table in all_fixtures():
+        calls.clear()
+        analyze_table(table)
+        assert calls == [None, QUARTER_PI]

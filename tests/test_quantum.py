@@ -8,6 +8,7 @@ from cgbell import (
     CgTable,
     QuantumStrategy,
     Scenario,
+    all_fixtures,
     chsh,
     i3322,
     i3422_3,
@@ -26,11 +27,13 @@ from cgbell.quantum import (
     _block_coefficients,
     _functional,
     _newton_model,
+    _pi4_cannot_violate,
     _product,
     _random_units,
     _theta_step,
     _trig,
 )
+from cgbell.robustness import _VIOLATION_TOL
 
 import oracles
 from oracles import (
@@ -616,3 +619,56 @@ class TestQuantumBound:
         r = quantum_bound(zero, restarts=5, seed=0)
         assert r.strategy.theta == 0.0
         assert r.value == 0.0 and r.converged
+
+
+# the gap of the SVD bound above the pi/4 maximum on the fixtures not at it
+PI4_GAPS = {"I3322": 0.25, "I3422_3": 0.185}
+
+
+def relabeled_lifts(rng):
+    """Each fixture, and the positivity facet -p(00|00) <= 0, zero-lifted to
+    4x4 and moved by a random relabeling."""
+    positivity = CgTable(Scenario(1, 1), [[-1]], [0], [0], 0, "POS")
+    for t in (*all_fixtures(), positivity):
+        na, nb = t.scenario.na, t.scenario.nb
+        rows, cols = (sorted(rng.choice(4, n, replace=False)) for n in (na, nb))
+        lifted = embed(t, Scenario(4, 4), rows, cols)
+        yield apply_relabeling(lifted, random_relabeling(lifted.scenario, rng))
+
+
+class TestPi4Certificate:
+    def test_svd_bound_is_above_the_seesaw(self, fixtures):
+        for t in fixtures:
+            gap = oracles.pi4_correlator_bound(t) - quantum_bound(t, fix_theta=QUARTER_PI).value
+            assert gap >= -1e-12
+            if t.name in PI4_GAPS:
+                assert gap == pytest.approx(PI4_GAPS[t.name], abs=1e-3)
+            else:
+                assert gap <= 1e-9
+
+    def test_cholesky_test_matches_the_svd_bound(self, fixtures, rng):
+        tables = [*fixtures, *relabeled_lifts(rng)]
+        tables += [random_table(rng, na, nb) for na in range(1, 9) for nb in (na, 9 - na)]
+        tables.append(CgTable(Scenario(3, 2), np.zeros((3, 2), int), [1, 0, -2], [0, 3], 0))
+        for t in tables:
+            bound, margin = oracles.pi4_correlator_bound(t), 1e-9 * functional_scale(t)
+            assert _pi4_cannot_violate(t, bound + margin)
+            assert not _pi4_cannot_violate(t, bound - margin)
+
+    def test_no_pi4_seesaw_passes_a_certified_bound(self, rng):
+        tables = list(relabeled_lifts(rng))
+        for na in range(2, 9):
+            for nb in (na, max(na - 2, 2)):
+                t = random_table(rng, na, nb)
+                tables.append(CgTable(t.scenario, t.d, t.c, t.e, local_bound(t)))
+        certified = 0
+        for t in tables:
+            value = quantum_bound(t, fix_theta=QUARTER_PI, seed=7).value
+            # the local bound as analyze_table tests it, and just above the SVD bound
+            svd = oracles.pi4_correlator_bound(t) + 1e-9 * functional_scale(t)
+            for bound in (t.bound + _VIOLATION_TOL, svd):
+                if _pi4_cannot_violate(t, bound):
+                    certified += 1
+                    assert value <= bound
+        # every table at the SVD bound, and most random ones and the positivity lift at L
+        assert certified >= len(tables) + 10
