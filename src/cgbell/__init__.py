@@ -25,7 +25,6 @@ from .analysis import (
 from .fixtures import all_fixtures, chsh, i3322, i3422_1, i3422_2, i3422_3
 from .localpoly import (
     FacetReport,
-    Lifting,
     detect_lifting,
     facet_check,
     local_bound,
@@ -53,7 +52,6 @@ __all__ = [
     "DetectionAnalysis",
     "FacetReport",
     "InconsistencyError",
-    "Lifting",
     "NoClickAssignment",
     "ParseError",
     "QuantumBoundResult",

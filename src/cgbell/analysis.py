@@ -153,7 +153,7 @@ def analyze_table(
         eta_sym=detection_threshold(table, q_me).eta,
         is_facet=facet.is_facet,
         has_correlation_form=corr is not None,
-        lifted_from=str(lift.reduced.scenario) if lift else None,
+        lifted_from=str(lift.scenario) if lift else None,
         converged=converged,
     )
     report.validate()

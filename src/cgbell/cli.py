@@ -125,7 +125,7 @@ def _cmd_canon(args) -> int:
     for i, t in enumerate(tables, start=1):
         lift = detect_lifting(t)
         if lift is not None:
-            print(f"# {label(i)}: lifted_from {lift.reduced.scenario}")
+            print(f"# {label(i)}: lifted_from {lift.scenario}")
     return 0
 
 

@@ -55,15 +55,6 @@ class FacetReport:
     is_facet: bool
 
 
-@dataclass(frozen=True)
-class Lifting:
-    """A table reduced by removing settings that carry no coefficients."""
-
-    reduced: CgTable
-    dropped_a: tuple[int, ...]
-    dropped_b: tuple[int, ...]
-
-
 def _bit_rows(n: int) -> np.ndarray:
     # row i is the n-bit big-endian expansion of i, so rows come out in
     # lexicographic order
@@ -176,8 +167,8 @@ def facet_check(table: CgTable) -> FacetReport:
     return FacetReport(is_valid, n, dim, is_facet)
 
 
-def detect_lifting(table: CgTable) -> Optional[Lifting]:
-    """Strip settings with all-zero coefficients; None when every setting is used.
+def detect_lifting(table: CgTable) -> Optional[CgTable]:
+    """The table without its settings of all-zero coefficients; None when every setting is used.
 
     A setting x of Alice is unused when c[x] = 0 and the whole d row x
     vanishes (symmetrically for Bob).  When a party's settings are all
@@ -194,7 +185,7 @@ def detect_lifting(table: CgTable) -> Optional[Lifting]:
         return None
     keep_a = [x for x in range(na) if x not in drop_a]
     keep_b = [y for y in range(nb) if y not in drop_b]
-    reduced = CgTable(
+    return CgTable(
         Scenario(len(keep_a), len(keep_b)),
         table.d[np.ix_(keep_a, keep_b)],
         table.c[keep_a],
@@ -202,4 +193,3 @@ def detect_lifting(table: CgTable) -> Optional[Lifting]:
         table.bound,
         table.name,
     )
-    return Lifting(reduced, tuple(drop_a), tuple(drop_b))

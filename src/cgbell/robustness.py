@@ -18,6 +18,12 @@ is the functional at the deterministic vertex that outputs 0 exactly where
 the substituted output is 0, and 2 M_A (2 M_B) is an integer that depends
 only on Bob's (Alice's) outputs.  So all 2^(na+nb) quadratics come from the
 integer vertex grid of the local bound and are solved at once.
+
+Each quadratic f is solved only when Q > L + 1e-9.  Then f(0) = X - L <= 0,
+since X is a vertex value, and f(1) = Q - L > 0, so f crosses zero upward
+in [0, 1).  A quadratic crosses upward at one root only, the one where its
+slope 2a eta + b is +sqrt(disc): the efficiency above which that assignment
+violates, and the only root that needs computing.
 """
 
 from __future__ import annotations
@@ -82,28 +88,22 @@ class DetectionAnalysis:
 
 
 def _threshold_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per cell, the largest root of a*eta^2 + b*eta + c in [0, 1) with the
-    polynomial positive just above it; 1.0 where there is none.
+    """Per cell, the root in [0, 1) of f(eta) = a*eta^2 + b*eta + c.
 
-    Here c = X - L <= 0, so a negative discriminant needs a < 0, and then
-    the polynomial is negative everywhere: no crossing, whatever np.roots
-    would make of the complex pair.  a = 0 leaves the linear root, as in
-    np.roots.
+    Contract: c <= 0 < a + b + c in every cell, that is f(0) <= 0 < f(1),
+    which detection_threshold guarantees (module docstring).  The root
+    returned is the one where f crosses zero upward, with slope +sqrt(disc):
+    (-b + sqrt(disc))/(2a) = 2c/(-b - sqrt(disc)), and the second form also
+    covers a = 0.  With q = -(b + sign(b) sqrt(disc))/2 that root is c/q
+    where b >= 0 and q/a where b < 0 (by the sign bit, as copysign reads
+    it), neither of which cancels, and 0 where q = 0, the double root at 0.  A NaN, or a root that rounding puts at 1
+    or beyond, gives 1.0.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the stable pair q/a and c/q, q = -(b + sign(b) sqrt(disc))/2;
-        # nan where disc < 0, and fmax/fmin skip the 0/0 of a double root at 0
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        r1, r2 = q / a, c / q
-        hi = np.where(a != 0.0, np.fmax(r1, r2), -c / b)
-        lo = np.where(a != 0.0, np.fmin(r1, r2), np.nan)
-
-    def crossing(r):
-        probe = np.minimum(1.0, r + 1e-7)
-        return (r >= 0.0) & (r < 1.0) & (a * probe * probe + b * probe + c > 0.0)
-
-    # + 0.0 turns a root of -0.0 into the 0.0 that np.roots returns
-    return np.where(crossing(hi), hi, np.where(crossing(lo), lo, 1.0)) + 0.0
+        root = np.where(q == 0.0, 0.0, np.where(np.signbit(b), q / a, c / q))
+    # + 0.0 turns a root of -0.0 into 0.0
+    return np.fmin(root, 1.0) + 0.0
 
 
 def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:

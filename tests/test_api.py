@@ -40,6 +40,8 @@ REMOVED = (
     "Relabeling",
     "apply_relabeling",
     "random_relabeling",
+    # detect_lifting returns the reduced CgTable itself
+    "Lifting",
 )
 
 

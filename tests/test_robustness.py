@@ -23,7 +23,7 @@ from cgbell import (
     reference_csv_path,
     white_noise_value,
 )
-from cgbell import localpoly
+from cgbell import localpoly, robustness
 from cgbell.analysis import DEFAULT_TOLERANCES
 from cgbell.model import MAX_COEFFICIENT
 from cgbell.quantum import QUARTER_PI
@@ -115,22 +115,47 @@ class TestThresholdRoots:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_against_np_roots(self, seed):
-        # c = X - L <= 0 in every call; zeros, linear cases and (near-)double
-        # roots of both signs of a included
+        # only triples with c <= 0 < a + b + c, as detection_threshold builds
+        # them: zeros, a = 0 with b > 0, c = 0 and the double root at 0 among
+        # the random ones, then downward parabolas with roots 1 -+ sqrt(eps)
         rng = np.random.default_rng(seed)
-        n = 64
+        n = 256
         a = rng.choice([-1.0, 0.0, 1.0], size=n) * rng.uniform(0, 4, size=n)
         b = rng.choice([-1.0, 0.0, 1.0], size=n) * rng.uniform(0, 4, size=n)
-        c = -rng.choice([0.0, 1.0], size=n) * rng.uniform(0, 4, size=n)
-        root = rng.uniform(0, 1, size=n // 4)
-        a[: n // 4] = -np.abs(a[: n // 4]) - 0.1
-        b[: n // 4] = -2 * a[: n // 4] * root
-        c[: n // 4] = a[: n // 4] * root * root * (1 + rng.uniform(-1e-9, 0, size=n // 4))
+        # c = X - L is +0.0 at a saturating vertex, where c/q would be -0.0
+        c = np.where(rng.random(n) < 0.5, 0.0, -rng.uniform(0, 4, size=n))
+        inside = a + b + c > 0.0
+        a, b, c = a[inside], b[inside], c[inside]
+        down = -rng.uniform(0.1, 4, size=16)
+        eps = 10.0 ** rng.uniform(-12, -9, size=16)
+        a, b, c = (np.concatenate(v) for v in ((a, down), (b, -2 * down), (c, down * (1 - eps))))
+        assert (c <= 0.0).all() and (a + b + c > 0.0).all()
         got = _threshold_roots(a, b, c)
         want = [oracles.threshold_root(*abc) for abc in zip(a, b, c)]
-        # roots 1e-9 apart (relative) are conditioned to about 1e-11
+        # roots 1 -+ sqrt(eps), 2e-6 apart or more, are conditioned to about 1e-10
         assert got == pytest.approx(want, abs=1e-9)
         assert not np.signbit(got).any()  # no -0.0, which np.roots never returns
+
+    def test_contract_holds_in_every_call(self, fixtures, fixture_q_me, monkeypatch):
+        # the closed form is exact only for c <= 0 < a + b + c: every cell that
+        # detection_threshold hands the kernel must satisfy it
+        calls = []
+
+        def recorder(a, b, c):
+            got = _threshold_roots(a, b, c)
+            assert (c <= 0.0).all() and (a + b + c > 0.0).all()
+            want = [oracles.threshold_root(*abc) for abc in zip(a.ravel(), b.ravel(), c.ravel())]
+            assert got.ravel() == pytest.approx(want, abs=1e-9)
+            calls.append(a.shape)
+            return got
+
+        monkeypatch.setattr(robustness, "_threshold_roots", recorder)
+        cases = list(zip(fixtures, fixture_q_me))
+        cases += [(lift(t, 4), q) for t, q in zip(fixtures, fixture_q_me)]
+        cases += [random_violating(seed) for seed in range(60)]
+        for table, q_me in cases:
+            detection_threshold(table, q_me)
+        assert len(calls) == len(cases)
 
 
 class TestDetectionThreshold:
