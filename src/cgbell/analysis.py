@@ -14,7 +14,7 @@ L stands in for its value.
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
 rendered deterministically (6 decimal places, round-half-even), so identical
-inputs, seed, restarts and tolerance give byte-identical CSV.
+inputs, seed and restarts give byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -113,7 +114,6 @@ def analyze_table(
     index: int = 1,
     restarts: int = 50,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> AnalysisReport:
     """Run the full pipeline on one inequality.
 
@@ -127,7 +127,7 @@ def analyze_table(
     facet = facet_check(table)
     lift = detect_lifting(table)
     corr = correlation_form(table)
-    free = quantum_bound(table, restarts=restarts, seed=_derived_seed(seed, index, 0), tol=tol)
+    free = quantum_bound(table, restarts=restarts, seed=_derived_seed(seed, index, 0))
     if _pi4_cannot_violate(table, bound + _VIOLATION_TOL):
         # every value the pi/4 see-saw could return gives lambda_me = eta_sym = 1, as L does
         q_me, converged = bound, free.converged
@@ -137,7 +137,6 @@ def analyze_table(
             fix_theta=QUARTER_PI,
             restarts=restarts,
             seed=_derived_seed(seed, index, 1),
-            tol=tol,
         )
         q_me, converged = fixed.value, free.converged and fixed.converged
     report = AnalysisReport(
@@ -175,21 +174,22 @@ def analyze_tables(
     tables: Sequence[CgTable],
     restarts: int = 50,
     seed: int = 0,
-    tol: float = 1e-10,
     workers: int = 1,
 ) -> tuple[list[AnalysisReport], list[RowFailure]]:
     """Analyze a batch; failed rows are collected, not fatal.
 
     Rows are seeded independently, so results do not depend on worker count
-    or completion order; output keeps input order.
+    or completion order; output keeps input order.  The pool has at most
+    one process per row and per CPU.
     """
-    jobs = [(t, i, restarts, seed, tol) for i, t in enumerate(tables, start=1)]
-    if workers > 1 and len(jobs) > 1:
+    jobs = [(t, i, restarts, seed) for i, t in enumerate(tables, start=1)]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool starts all its processes on the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             calls = [pool.submit(_analyze_args, job).result for job in jobs]
     else:
         calls = [functools.partial(_analyze_args, job) for job in jobs]

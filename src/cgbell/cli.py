@@ -38,14 +38,13 @@ class InputError(Exception):
     pass
 
 
-def _number(kind, low, strict=False):
-    """An argparse type for a finite ``kind`` >= ``low``, or > ``low`` if ``strict``."""
+def _number(kind, low):
+    """An argparse type for a finite ``kind`` >= ``low``."""
 
     def parse(text: str):
         value = kind(text)
-        if not ((value > low if strict else value >= low) and value < math.inf):
-            bound = f"> {low}" if strict else f">= {low}"
-            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
+        if not (value >= low and value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -72,9 +71,7 @@ def _read_csv(path: str):
 
 def _cmd_analyze(args) -> int:
     tables = _read_tables(args.input)
-    reports, failures = analyze_tables(
-        tables, restarts=args.restarts, seed=args.seed, tol=args.tol, workers=args.workers
-    )
+    reports, failures = analyze_tables(tables, restarts=args.restarts, seed=args.seed, workers=args.workers)
     render = {"csv": to_csv, "json": to_json, "md": to_markdown}[args.output]
     sys.stdout.write(render(reports))
     for r in reports:
@@ -148,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts", type=_number(int, 1), default=50, help="see-saw restarts per optimization"
     )
     p.add_argument("--seed", type=_number(int, 0), default=0)
-    p.add_argument(
-        "--tol", type=_number(float, 0, strict=True), default=1e-10, help="see-saw convergence tolerance"
-    )
     p.add_argument(
         "--workers", type=_number(int, 1), default=1, help="parallel per-inequality workers"
     )

@@ -20,14 +20,14 @@ over strided rows of 3 where call overhead would set the cost.
 
 quantum_bound works in two phases.  The sweeps, at most SWEEP_CAP of them,
 bring every restart near a local maximum; they stop once each restart has
-had a sweep that gained less than tol.  Sweeps alone crawl near some
+had a sweep that gained less than TOL.  Sweeps alone crawl near some
 maxima (I3422_1 took 1305 of them and still ended 7e-9 below sqrt(5)), so
 the best few restarts are then polished by damped Newton steps on the
 sphere in (theta, a, b) with the analytic gradient and Hessian (Absil,
 Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
-ch. 4-7), which stop at a certified local maximum: the gradient below
-tolerance and the Hessian negative semidefinite up to the gauge's zero
-modes.
+ch. 4-7), which stop at a certified local maximum: the gradient norm below
+TOL * scale and the Hessian negative semidefinite up to 1e-9 * scale, which
+leaves room for the gauge's zero modes.
 
 At theta = pi/4 the marginal terms vanish and the functional is a pure
 correlator, k0 + sum_xy w[x, y] a[x] . (R b[y]) with R = diag(1, -1, 1),
@@ -53,6 +53,7 @@ from .model import CgTable
 _UNIT_TOL = 1e-12
 QUARTER_PI = math.pi / 4
 SWEEP_CAP = 30  # see-saw sweeps before the Newton polish
+TOL = 1e-10  # a sweep's least gain, and the polish's gradient norm per unit scale
 POLISHED = 3  # restarts polished, best first, distinct in value
 POLISH_STEPS = 20  # Newton steps per polished restart
 _HALVINGS = 0.5 ** np.arange(12)  # the polish's backtracking step lengths
@@ -263,11 +264,11 @@ def _pi4_cannot_violate(table: CgTable, bound) -> bool:
     return _negative_definite(m, 0.0, slack / math.sqrt(used))
 
 
-def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale):
+def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, scale):
     """Damped Newton ascent of one restart from (a, b, theta), which has
     the given value, in at most POLISH_STEPS steps.
 
-    It stops once the gradient norm is below tol * scale, and the restart
+    It stops once the gradient norm is below TOL * scale, and the restart
     is certified when H is then also below 1e-9 * scale, which leaves room
     for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  A theta at 0
     or pi/4 whose gradient points out of the range is held there.  Each step
@@ -284,7 +285,7 @@ def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, tol, scale):
             g, h = g[:n], h[:n, :n]  # theta held at its bound
         gnorm = math.sqrt(g @ g)
         m, diag = -h, h.diagonal()
-        if gnorm < tol * scale:
+        if gnorm < TOL * scale:
             return a, b, theta, value, _negative_definite(m, diag, floor)
         if step == POLISH_STEPS:
             break
@@ -319,25 +320,22 @@ def quantum_bound(
     fix_theta: Optional[float] = None,
     restarts: int = 50,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> QuantumBoundResult:
     """Multi-restart see-saw maximization of the functional, polished by
     Newton steps: a lower bound on the quantum maximum, fixed by the seed.
     Vectors start uniform on the sphere and theta uniform on [0, pi/4]
     unless ``fix_theta`` pins it (pi/4 for maximally entangled analyses).
     First all restarts are swept together, until every one of them has had
-    a sweep that improved its value by less than ``tol``, or SWEEP_CAP
-    times.  Then the best POLISHED restarts whose values lie more than 1e-9
+    a sweep that improved its value by less than TOL, or SWEEP_CAP times.
+    Then the best POLISHED restarts whose values lie more than 1e-9
     apart take at most POLISH_STEPS damped Newton steps each.  The best
     polished restart is returned, ties resolved to the earliest restart.
     ``converged`` is True when it is a certified local maximum: its gradient
-    norm is below tol * scale, with scale = 1 + sum|d|/4 + sum|c|/2 +
+    norm is below TOL * scale, with scale = 1 + sum|d|/4 + sum|c|/2 +
     sum|e|/2, and its Hessian is negative semidefinite up to 1e-9 * scale.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a finite positive number, got {tol}")
     if fix_theta is not None and not 0.0 <= fix_theta <= QUARTER_PI + _UNIT_TOL:
         raise ValueError("fix_theta must lie in [0, pi/4]")
     rng = np.random.default_rng(seed)
@@ -355,7 +353,7 @@ def quantum_bound(
     done = np.zeros(restarts, dtype=bool)
     for _ in range(SWEEP_CAP):
         a, b, theta, new_values = _batch_sweep(*f, a, b, theta, update_theta, trig)
-        done |= new_values - values < tol
+        done |= new_values - values < TOL
         values = new_values
         if done.all():
             break
@@ -370,7 +368,7 @@ def quantum_bound(
     certified = np.zeros(restarts, dtype=bool)
     for r in taken:
         a[..., r], b[..., r], theta[r], values[r], certified[r] = _polish(
-            *f, a[..., r], b[..., r], theta[r], values[r], update_theta, tol, scale
+            *f, a[..., r], b[..., r], theta[r], values[r], update_theta, scale
         )
 
     best = min(taken, key=lambda r: (-values[r], r))  # the earliest on ties

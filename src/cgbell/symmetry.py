@@ -54,19 +54,18 @@ from .model import CgTable
 
 def _flipped(
     table: CgTable, fa: np.ndarray, fb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(d, c, e, bound) of the table after each of a batch of outcome flips.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, c, e) of the table after each of a batch of outcome flips.
 
     ``fa`` is a (k, na) and ``fb`` a (k, nb) 0/1 integer array; entry i of
-    every output belongs to the flips (fa[i], fb[i]).
+    every output belongs to the flips (fa[i], fb[i]).  The bound moves by
+    the vertex value V(fa, fb), which the caller reads off the vertex grid.
     """
     sa, sb = 1 - 2 * fa, 1 - 2 * fb
-    fa_d = fa @ table.d
     d = sa[:, :, None] * sb[:, None, :] * table.d
     c = sa * (table.c + fb @ table.d.T)
-    e = sb * (table.e + fa_d)
-    bound = table.bound - fa @ table.c - fb @ table.e - (fa_d * fb).sum(axis=1)
-    return d, c, e, bound
+    e = sb * (table.e + fa @ table.d)
+    return d, c, e
 
 
 def _divide_by_content(table: CgTable) -> CgTable:
@@ -134,7 +133,7 @@ def canonical_form(table: CgTable) -> CgTable:
     idle_a = (t.c == 0) & ~t.d.any(axis=1)
     idle_b = (t.e == 0) & ~t.d.any(axis=0)
     busy = ~fa[:, idle_a].any(axis=1) & ~fb[:, idle_b].any(axis=1)
-    d, c, e, _ = _flipped(t, fa[busy], fb[busy])
+    d, c, e = _flipped(t, fa[busy], fb[busy])
     if na == nb:  # the swap adds (d^T, e, c) for every flip
         d = np.concatenate([d, d.transpose(0, 2, 1)])
         c, e = np.concatenate([c, e]), np.concatenate([e, c])

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 
@@ -83,6 +84,7 @@ def test_worker_count_does_not_change_the_report(fixture_file, output):
 
 
 def test_pool_is_sized_to_the_rows(fixture_file, fixture_report, monkeypatch):
+    # at most one process per row and per CPU, and none when that is one
     sizes = []
 
     def pool(max_workers):
@@ -91,9 +93,12 @@ def test_pool_is_sized_to_the_rows(fixture_file, fixture_report, monkeypatch):
         return ThreadPoolExecutor(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    code, report, err = cli("analyze", "--input", str(fixture_file), "--workers", "64")
-    assert (code, report, err) == (0, fixture_report, "")
-    assert sizes == [len(all_fixtures())]
+    for cpus, expected in ((64, [5]), (3, [3]), (1, []), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        code, report, err = cli("analyze", "--input", str(fixture_file), "--workers", "64")
+        assert (code, report, err) == (0, fixture_report, "")
+        assert sizes == expected, cpus
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

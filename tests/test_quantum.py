@@ -85,15 +85,15 @@ def functional_scale(table):
     return 1 + np.abs(table.d).sum() / 4 + np.abs(table.c).sum() / 2 + np.abs(table.e).sum() / 2
 
 
-def certified(table, s, free_theta, tol):
-    """Gradient below tol * scale and Hessian below 1e-9 * scale, by eigenvalues,
+def certified(table, s, free_theta):
+    """Gradient below TOL * scale and Hessian below 1e-9 * scale, by eigenvalues,
     with theta held at a bound its gradient points out of."""
     d, ua, ub, _ = _functional(table)
     g, h = _newton_model(d, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
     if free_theta and (s.theta == 0.0 and g[-1] <= 0 or s.theta == QUARTER_PI and g[-1] >= 0):
         g, h = g[:-1], h[:-1, :-1]
     scale = functional_scale(table)
-    return bool(np.linalg.norm(g) < tol * scale and np.linalg.eigvalsh(h).max() < 1e-9 * scale)
+    return bool(np.linalg.norm(g) < quantum.TOL * scale and np.linalg.eigvalsh(h).max() < 1e-9 * scale)
 
 
 def cap_work(monkeypatch, budget):
@@ -518,9 +518,6 @@ class TestQuantumBound:
             quantum_bound(chsh_table, restarts=0)
         with pytest.raises(ValueError):
             quantum_bound(chsh_table, fix_theta=1.0)
-        for tol in (0.0, -1e-10, math.nan, math.inf):
-            with pytest.raises(ValueError, match="tol"):
-                quantum_bound(chsh_table, tol=tol)
 
 
     @pytest.mark.parametrize("budget", [1, 3, 2000])
@@ -538,7 +535,7 @@ class TestQuantumBound:
         # the polish only climbs from the capped sweeps, and converged
         # means certified at the returned strategy
         cap_work(monkeypatch, budget)
-        restarts, seed, tol = 8, 3, 1e-10
+        restarts, seed = 8, 3
         rng = np.random.default_rng(11)
         tables = [chsh(), i3322(), i3422_3()]
         for na, nb in ((2, 2), (2, 3), (3, 2), (3, 3)):
@@ -548,9 +545,9 @@ class TestQuantumBound:
             best = max(
                 quantum_value(t, s) for s in replayed(t, fix_theta, restarts, seed, quantum.SWEEP_CAP)
             )
-            r = quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed, tol=tol)
+            r = quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
             assert r.value >= best - 1e-12
-            assert r.converged == certified(t, r.strategy, fix_theta is None, tol)
+            assert r.converged == certified(t, r.strategy, fix_theta is None)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-4])
     @pytest.mark.parametrize("fix_theta", [None, QUARTER_PI])
@@ -562,6 +559,7 @@ class TestQuantumBound:
         calls = []
         sweep = quantum._batch_sweep
         monkeypatch.setattr(quantum, "_batch_sweep", lambda *args: calls.append(1) or sweep(*args))
+        monkeypatch.setattr(quantum, "TOL", tol)
         restarts, seed = 8, 4
         for t in fixtures:
             first_small = []
@@ -573,7 +571,7 @@ class TestQuantumBound:
                     s = stepped
                 first_small.append(k)
             calls.clear()
-            quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed, tol=tol)
+            quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
             assert len(calls) == max(first_small)
 
     @pytest.mark.parametrize("max_sweeps", [1, 5, 31, 45])
