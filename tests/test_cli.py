@@ -120,6 +120,10 @@ def fixture_file(tmp_path):
         ["--restarts", "many"],
         ["--workers", "0"],
         ["--tol", "1e-10"],  # the see-saw tolerance is a constant, not an option
+        ["--workers", "-2"],
+        ["--workers", "many"],
+        ["--restarts=2.5"],
+        ["--output", "xml"],
         ["--seed=-1"],
         ["--seed", "one"],
     ],
