@@ -8,8 +8,9 @@ is kept on the report but not rendered.
 
 The theta = pi/4 see-saw runs only when it could matter: when the spectral
 bound of quantum._pi4_cannot_violate shows that no value it could return
-lies above L + 1e-9, lambda_me and eta_sym are 1 whatever it returns, and
-L stands in for its value.
+lies above L + margin (quantum._margin, scaled to the functional),
+lambda_me and eta_sym are 1 whatever it returns, and L stands in for its
+value.
 
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
@@ -34,8 +35,8 @@ import numpy as np
 
 from .localpoly import detect_lifting, facet_check, local_bound, white_noise_value
 from .model import CgTable, Scenario
-from .quantum import QUARTER_PI, _pi4_cannot_violate, quantum_bound
-from .robustness import _VIOLATION_TOL, detection_threshold, noise_resistance
+from .quantum import QUARTER_PI, _margin, _pi4_cannot_violate, quantum_bound
+from .robustness import detection_threshold, noise_resistance
 from .symmetry import canonical_form, correlation_form
 
 CSV_COLUMNS = [
@@ -99,10 +100,6 @@ class AnalysisReport:
         for label, v in (("lambda", self.lam), ("lambda_me", self.lam_me), ("eta_sym", self.eta_sym)):
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"row {self.index}: {label} = {v} outside (0, 1]")
-        if self.quantum < self.local - 1e-9:
-            raise ValueError(
-                f"row {self.index}: quantum value {self.quantum} below local bound {self.local}"
-            )
 
 
 def _derived_seed(seed: int, index: int, stream: int) -> int:
@@ -120,7 +117,7 @@ def analyze_table(
     The two optimizations (free theta, theta = pi/4) get seeds derived from
     (seed, index), so rows are reproducible independently of batch order.
     The pi/4 one is skipped when a spectral bound proves it cannot find a
-    violation.
+    violation.  A free-theta value below L - margin raises ValueError.
     """
     bound = local_bound(table)
     noise = white_noise_value(table)
@@ -128,7 +125,10 @@ def analyze_table(
     lift = detect_lifting(table)
     corr = correlation_form(table)
     free = quantum_bound(table, restarts=restarts, seed=_derived_seed(seed, index, 0))
-    if _pi4_cannot_violate(table, bound + _VIOLATION_TOL):
+    margin = _margin(table)
+    if free.value < bound - margin:
+        raise ValueError(f"row {index}: quantum value {free.value} below local bound {bound}")
+    if _pi4_cannot_violate(table, bound + margin):
         # every value the pi/4 see-saw could return gives lambda_me = eta_sym = 1, as L does
         q_me, converged = bound, free.converged
     else:

@@ -167,26 +167,26 @@ def facet_check(table: CgTable) -> FacetReport:
     return FacetReport(is_valid, n, dim, is_facet)
 
 
-def detect_lifting(table: CgTable) -> Optional[CgTable]:
-    """The table without its settings of all-zero coefficients; None when every setting is used.
+def _unused_settings(table: CgTable) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of Alice's and Bob's unused settings: Alice's x is unused
+    when c[x] = 0 and the whole d row x vanishes, Bob's y when e[y] = 0 and
+    the d column y vanishes."""
+    return (table.c == 0) & ~table.d.any(axis=1), (table.e == 0) & ~table.d.any(axis=0)
 
-    A setting x of Alice is unused when c[x] = 0 and the whole d row x
-    vanishes (symmetrically for Bob).  When a party's settings are all
-    unused the first one is retained so the reduced scenario stays valid.
+
+def detect_lifting(table: CgTable) -> Optional[CgTable]:
+    """The table without its unused settings (_unused_settings); None when every setting is used.
+
+    When a party's settings are all unused the first one is retained so the
+    reduced scenario stays valid.
     """
-    na, nb = table.scenario.na, table.scenario.nb
-    drop_a = [x for x in range(na) if table.c[x] == 0 and not table.d[x, :].any()]
-    drop_b = [y for y in range(nb) if table.e[y] == 0 and not table.d[:, y].any()]
-    if len(drop_a) == na:
-        drop_a = drop_a[1:]
-    if len(drop_b) == nb:
-        drop_b = drop_b[1:]
-    if not drop_a and not drop_b:
+    keep_a, keep_b = (~unused for unused in _unused_settings(table))
+    for keep in (keep_a, keep_b):
+        keep[0] |= not keep.any()
+    if keep_a.all() and keep_b.all():
         return None
-    keep_a = [x for x in range(na) if x not in drop_a]
-    keep_b = [y for y in range(nb) if y not in drop_b]
     return CgTable(
-        Scenario(len(keep_a), len(keep_b)),
+        Scenario(int(keep_a.sum()), int(keep_b.sum())),
         table.d[np.ix_(keep_a, keep_b)],
         table.c[keep_a],
         table.e[keep_b],

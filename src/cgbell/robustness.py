@@ -19,11 +19,12 @@ the substituted output is 0, and 2 M_A (2 M_B) is an integer that depends
 only on Bob's (Alice's) outputs.  So all 2^(na+nb) quadratics come from the
 integer vertex grid of the local bound and are solved at once.
 
-Each quadratic f is solved only when Q > L + 1e-9.  Then f(0) = X - L <= 0,
-since X is a vertex value, and f(1) = Q - L > 0, so f crosses zero upward
-in [0, 1).  A quadratic crosses upward at one root only, the one where its
-slope 2a eta + b is +sqrt(disc): the efficiency above which that assignment
-violates, and the only root that needs computing.
+Each quadratic f is solved only when Q > L + margin (quantum._margin).
+Then f(0) = X - L <= 0, since X is a vertex value, and f(1) = Q - L > 0,
+so f crosses zero upward in [0, 1).  A quadratic crosses upward at one
+root only, the one where its slope 2a eta + b is +sqrt(disc): the
+efficiency above which that assignment violates, and the only root that
+needs computing.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import numpy as np
 
 from .localpoly import _bit_rows, _vertex_values, local_bound, white_noise_value
 from .model import CgTable
-
-_VIOLATION_TOL = 1e-9
+from .quantum import _margin
 
 
 class InconsistencyError(ValueError):
@@ -60,16 +60,18 @@ def noise_resistance(table: CgTable, q: float) -> float:
 
     ``q`` should come from quantum_bound: free theta for the optimal-state
     threshold, theta = pi/4 for the maximally entangled one.  Returns 1.0
-    when there is no violation, q <= L + 1e-9, so q may be L itself when a
-    bound already proves that no quantum value exceeds L + 1e-9.
+    when there is no violation, q <= L + margin (quantum._margin), so q may
+    be L itself when a bound already proves that no quantum value exceeds
+    L + margin.  A q below N - margin raises InconsistencyError.
     """
     bound = local_bound(table)
     noise = white_noise_value(table)
-    if q < float(noise) - _VIOLATION_TOL:
+    margin = _margin(table)
+    if q < float(noise) - margin:
         raise InconsistencyError(
             f"quantum value {q} below white-noise value {float(noise)}"
         )
-    if q <= bound + _VIOLATION_TOL:
+    if q <= bound + margin:
         return 1.0
     return float(bound - noise) / (q - float(noise))
 
@@ -115,8 +117,8 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     2^(na+nb) per-setting no-click assignments are solved and the smallest
     threshold returned.  Ties go to the lexicographically smallest
     assignment.  Returns eta = 1 when the state does not violate at full
-    efficiency, q_me <= L + 1e-9, so q_me may be L itself when a bound
-    already proves that no pi/4 value exceeds L + 1e-9.
+    efficiency, q_me <= L + margin (quantum._margin), so q_me may be L
+    itself when a bound already proves that no pi/4 value exceeds L + margin.
     """
     values = _vertex_values(table)
     bound = int(values.max())
@@ -128,7 +130,7 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     m_a2 = x_grid[0] + x_grid[-1]
     m_b2 = x_grid[:, 0] + x_grid[:, -1]
 
-    if q_me <= bound + _VIOLATION_TOL:
+    if q_me <= bound + _margin(table):
         i = j = 0
         eta = 1.0
     else:

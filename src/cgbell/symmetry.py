@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .localpoly import _bit_rows, _vertex_values
+from .localpoly import _bit_rows, _unused_settings, _vertex_values
 from .model import CgTable
 
 
@@ -130,8 +130,7 @@ def canonical_form(table: CgTable) -> CgTable:
     ia, ib = np.nonzero(values == top)
     fa, fb = _bit_rows(na)[ia], _bit_rows(nb)[ib]
     # flipping a setting without coefficients changes nothing
-    idle_a = (t.c == 0) & ~t.d.any(axis=1)
-    idle_b = (t.e == 0) & ~t.d.any(axis=0)
+    idle_a, idle_b = _unused_settings(t)
     busy = ~fa[:, idle_a].any(axis=1) & ~fb[:, idle_b].any(axis=1)
     d, c, e = _flipped(t, fa[busy], fb[busy])
     if na == nb:  # the swap adds (d^T, e, c) for every flip

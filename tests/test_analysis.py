@@ -11,6 +11,7 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from cgbell import (
 )
 from cgbell.analysis import CSV_COLUMNS, DEFAULT_TOLERANCES
 from cgbell.cli import main
-from cgbell.quantum import QUARTER_PI
+from cgbell.quantum import QUARTER_PI, _margin
 
 from oracles import apply_relabeling, random_relabeling
 from test_localpoly import embed
@@ -224,7 +225,7 @@ def counted_seesaws(monkeypatch):
 CERTIFIED = {
     # -p(00|00) <= 0 in 4x4 reaches L = 0 at pi/4.  The spectral bound is 0
     # because it counts the one setting each party uses (with all four it
-    # would be 3/4), and 0 is within the 1e-9 by which Q must pass L
+    # would be 3/4), and 0 is within the margin by which Q must pass L
     "POS_4x4": CgTable(Scenario(4, 4), np.diag([-1, 0, 0, 0]), [0] * 4, [0] * 4, 0),
     # w = 0: the value at pi/4 is the constant k0
     "ZERO_4x4": CgTable(Scenario(4, 4), np.zeros((4, 4), int), [0] * 4, [0] * 4, 0),
@@ -258,3 +259,59 @@ def test_fixtures_run_both_seesaws(monkeypatch):
         calls.clear()
         analyze_table(table)
         assert calls == [None, QUARTER_PI]
+
+
+def test_validate_names_the_row_and_the_column(reports):
+    report = reports[0]
+    with pytest.raises(ValueError, match=f"row {report.index}: non-finite"):
+        dataclasses.replace(report, quantum=float("nan")).validate()
+    for label, field, value in (("lambda", "lam", 0.0), ("eta_sym", "eta_sym", 1.5)):
+        with pytest.raises(ValueError, match=f"row {report.index}: {label} = {value}"):
+            dataclasses.replace(report, **{field: value}).validate()
+
+
+@pytest.mark.parametrize("times, fails", [(2.0, True), (0.5, False)])
+def test_a_free_value_below_the_margin_fails_its_row(monkeypatch, times, fails):
+    # the free-theta see-saw returns L - times * margin, the margin scaled to the table
+    table = chsh()
+    low = local_bound(table) - times * _margin(table)
+    real = analysis.quantum_bound
+
+    def lowered(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return result if "fix_theta" in kwargs else dataclasses.replace(result, value=low)
+
+    monkeypatch.setattr(analysis, "quantum_bound", lowered)
+    if fails:
+        with pytest.raises(ValueError, match="row 3: quantum value .* below local bound 0"):
+            analyze_table(table, index=3)
+    else:
+        assert analyze_table(table, index=3).quantum == low
+
+
+# tables whose violation, or lack of one, no positive scale changes: the
+# fixtures, a positivity facet and a 2x1 table, which no quantum value violates
+SCALED = {
+    **{t.name: t for t in all_fixtures()},
+    "POS_4x4": CERTIFIED["POS_4x4"],
+    "TWO_BY_ONE": CgTable(Scenario(2, 1), [[1], [0]], [0, -1], [-1], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_report_invariant_under_scaling(name):
+    # theta is not compared: it is arbitrary on a degenerate maximum such as POS_4x4's
+    table = SCALED[name]
+    flags = attrgetter("is_facet", "has_correlation_form")
+    thresholds = attrgetter("lam", "lam_me", "eta_sym")
+    for seed in (0, 6):
+        base = analyze_table(table, seed=seed)
+        for k in (20, 30, 36, 40):
+            m = 2**k
+            moved = analyze_table(
+                CgTable(table.scenario, m * table.d, m * table.c, m * table.e, m * table.bound),
+                seed=seed,
+            )
+            assert flags(moved) == flags(base), (k, seed)
+            for got, want in zip(thresholds(moved), thresholds(base)):
+                assert (got == want) if want == 1.0 else (abs(got - want) <= 1e-6), (k, seed)

@@ -57,19 +57,23 @@ def test_canon_beyond_the_cap_after_relabeling(tmp_path, capsys):
 
 def test_analyze_near_the_cap(tmp_path, capsys):
     # the same table: the correlator check builds no relabeled table, so
-    # its row is analysed
+    # its row is analysed.  -2^44 p(00|00) <= 0 cannot be violated: its
+    # see-saw rounding lies within the margin scaled to the functional
     m = 2**44
     path = tmp_path / "near_cap.txt"
     path.write_text(
         f"inequality NEAR\nscenario 2 2\nbound 0\nc -{m} 3\ne -{m} 0\n"
-        f"d {m} {m - 1}\n  {m} -{m}\nend\n",
+        f"d {m} {m - 1}\n  {m} -{m}\nend\n"
+        f"inequality POS\nscenario 1 1\nbound 0\nc 0\ne 0\nd -{m}\nend\n",
         encoding="utf-8",
     )
     assert main(["analyze", "--input", str(path)]) == 0
     out = capsys.readouterr()
     assert out.err == ""
     lines = out.out.splitlines()
-    assert len(lines) == 2 and lines[1].startswith("1,NEAR,2x2,")
+    assert len(lines) == 3 and lines[1].startswith("1,NEAR,2x2,")
+    assert lines[2].startswith("2,POS,1x1,")
+    assert lines[2].split(",")[7:10] == ["1.000000"] * 3  # lambda, lambda_me, eta_sym
 
 
 def test_compare_non_numeric_cell_is_an_input_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from cgbell.quantum import (
     _batch_values,
     _block_coefficients,
     _functional,
+    _margin,
     _newton_model,
     _pi4_cannot_violate,
     _product,
@@ -33,7 +34,6 @@ from cgbell.quantum import (
     _theta_step,
     _trig,
 )
-from cgbell.robustness import _VIOLATION_TOL
 
 import oracles
 from oracles import (
@@ -664,7 +664,7 @@ class TestPi4Certificate:
             value = quantum_bound(t, fix_theta=QUARTER_PI, seed=7).value
             # the local bound as analyze_table tests it, and just above the SVD bound
             svd = oracles.pi4_correlator_bound(t) + 1e-9 * functional_scale(t)
-            for bound in (t.bound + _VIOLATION_TOL, svd):
+            for bound in (t.bound + _margin(t), svd):
                 if _pi4_cannot_violate(t, bound):
                     certified += 1
                     assert value <= bound

@@ -26,7 +26,7 @@ from cgbell import (
 from cgbell import localpoly, robustness
 from cgbell.analysis import DEFAULT_TOLERANCES
 from cgbell.model import MAX_COEFFICIENT
-from cgbell.quantum import QUARTER_PI
+from cgbell.quantum import QUARTER_PI, _margin
 from cgbell.robustness import _threshold_roots
 
 import oracles
@@ -105,10 +105,10 @@ class TestNoiseResistance:
 
     def test_below_white_noise_is_inconsistent(self, fixtures):
         for t in fixtures:
-            noise = float(white_noise_value(t))
-            assert noise_resistance(t, noise - 0.5e-9) == 1.0
+            noise, margin = float(white_noise_value(t)), _margin(t)
+            assert noise_resistance(t, noise - 0.5 * margin) == 1.0
             with pytest.raises(InconsistencyError):
-                noise_resistance(t, noise - 2e-9)
+                noise_resistance(t, noise - 2 * margin)
 
 
 class TestThresholdRoots:
