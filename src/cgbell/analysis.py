@@ -8,9 +8,9 @@ is kept on the report but not rendered.
 
 The theta = pi/4 see-saw runs only when it could matter: when the spectral
 bound of quantum._pi4_cannot_violate shows that no value it could return
-lies above L + margin (quantum._margin, scaled to the functional),
-lambda_me and eta_sym are 1 whatever it returns, and L stands in for its
-value.
+lies above L + margin (quantum._margin: 1e-9 plus the reach of rounding,
+which grows with the functional), lambda_me and eta_sym are 1 whatever it
+returns, and L stands in for its value.
 
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are

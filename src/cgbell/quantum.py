@@ -26,8 +26,8 @@ the best few restarts are then polished by damped Newton steps on the
 sphere in (theta, a, b) with the analytic gradient and Hessian (Absil,
 Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
 ch. 4-7), which stop at a certified local maximum: the gradient norm below
-TOL * scale and the Hessian negative semidefinite up to MARGIN * scale,
-which leaves room for the gauge's zero modes.
+TOL * scale and the Hessian negative semidefinite up to 1e-9 * scale, which
+leaves room for the gauge's zero modes.
 
 At theta = pi/4 the marginal terms vanish and the functional is a pure
 correlator, k0 + sum_xy w[x, y] a[x] . (R b[y]) with R = diag(1, -1, 1),
@@ -37,8 +37,8 @@ k0 + |w|_2 sqrt(na' nb'), with na' and nb' the settings whose row or column
 of w is nonzero.  _pi4_cannot_violate checks that this bound plus a
 rounding margin of _ROUNDING * scale stays at or below a given value, so
 that no pi/4 see-saw can return more; analyze_table gives it L + _margin,
-the one margin by which every stage tells a value above L, and skips the
-pi/4 see-saw when it holds.
+the one margin by which every stage tells a value above L (MARGIN plus
+that same rounding), and skips the pi/4 see-saw when it holds.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ _UNIT_TOL = 1e-12
 QUARTER_PI = math.pi / 4
 SWEEP_CAP = 30  # see-saw sweeps before the Newton polish
 TOL = 1e-10  # a sweep's least gain, and the polish's gradient norm per unit scale
-MARGIN = 1e-9  # per unit scale: the polish's Hessian floor, and how far Q must pass L
+MARGIN = 1e-9  # how far Q must pass L beyond the reach of rounding
 POLISHED = 3  # restarts polished, best first, distinct in value
 POLISH_STEPS = 20  # Newton steps per polished restart
 _HALVINGS = 0.5 ** np.arange(12)  # the polish's backtracking step lengths
@@ -121,8 +121,9 @@ def _scale(table: CgTable) -> float:
 
 
 def _margin(table: CgTable) -> float:
-    """MARGIN * scale: how far a value must lie above L to violate, or below N to be inconsistent."""
-    return MARGIN * _scale(table)
+    """MARGIN + _ROUNDING * scale: how far a value must pass L to violate, or
+    fall below N to be inconsistent.  Only the reach of rounding grows with scale."""
+    return MARGIN + _ROUNDING * _scale(table)
 
 
 def _trig(theta, out=None):
@@ -276,15 +277,15 @@ def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, scale):
     the given value, in at most POLISH_STEPS steps.
 
     It stops once the gradient norm is below TOL * scale, and the restart
-    is certified when H is then also below MARGIN * scale, which leaves room
+    is certified when H is then also below 1e-9 * scale, which leaves room
     for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  A theta at 0
     or pi/4 whose gradient points out of the range is held there.  Each step
-    solves (mu I - H) delta = g, mu raised tenfold from max(|g|, MARGIN * scale)
+    solves (mu I - H) delta = g, mu raised tenfold from max(|g|, 1e-9 * scale)
     until mu I - H is positive definite (Levenberg-Marquardt), and takes the
     longest of delta, delta/2, delta/4, ... that does not lower the value by
     more than rounding.  Returns (a, b, theta, value, certified).
     """
-    floor = MARGIN * scale
+    floor = 1e-9 * scale
     na, n = len(a), 3 * (len(a) + len(b))
     for step in range(POLISH_STEPS + 1):
         g, h = _newton_model(w, ua, ub, a, b, theta, free_theta)
@@ -339,7 +340,7 @@ def quantum_bound(
     polished restart is returned, ties resolved to the earliest restart.
     ``converged`` is True when it is a certified local maximum: its gradient
     norm is below TOL * scale, with scale = 1 + sum|d|/4 + sum|c|/2 +
-    sum|e|/2, and its Hessian is negative semidefinite up to MARGIN * scale.
+    sum|e|/2, and its Hessian is negative semidefinite up to 1e-9 * scale.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")

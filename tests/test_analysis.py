@@ -315,3 +315,18 @@ def test_report_invariant_under_scaling(name):
             assert flags(moved) == flags(base), (k, seed)
             for got, want in zip(thresholds(moved), thresholds(base)):
                 assert (got == want) if want == 1.0 else (abs(got - want) <= 1e-6), (k, seed)
+
+
+@pytest.mark.parametrize("k", [30, 40])
+def test_a_large_coefficient_hides_no_violation(k):
+    # CHSH in 3x3 plus -2^k p(00|22): a local strategy and the quantum one
+    # (a[2] = -z, b[2] = +z) both set that term to 0, so L = 0 and Q is the
+    # CHSH value 0.207, though scale ~ 2^(k-2) makes 1e-9 * scale exceed it
+    base = analyze_table(chsh())
+    d = np.zeros((3, 3), int)
+    d[:2, :2], d[2, 2] = chsh().d, -(2**k)
+    table = CgTable(Scenario(3, 3), d, [*chsh().c, 0], [*chsh().e, 0], 0)
+    report = analyze_table(table)
+    assert report.local == 0 and report.quantum > 0.2
+    assert report.lam < 1 and report.lam_me < 1
+    assert abs(report.eta_sym - base.eta_sym) <= 1e-3

@@ -58,7 +58,8 @@ def test_canon_beyond_the_cap_after_relabeling(tmp_path, capsys):
 def test_analyze_near_the_cap(tmp_path, capsys):
     # the same table: the correlator check builds no relabeled table, so
     # its row is analysed.  -2^44 p(00|00) <= 0 cannot be violated: its
-    # see-saw rounding lies within the margin scaled to the functional
+    # see-saw rounding lies within the margin's rounding term, which grows
+    # with the coefficients
     m = 2**44
     path = tmp_path / "near_cap.txt"
     path.write_text(
