@@ -263,14 +263,18 @@ def to_markdown(reports: Sequence[AnalysisReport]) -> str:
 
 
 def load_report_csv(text: str) -> list[dict[str, str]]:
-    """Rows keyed by the header; ValueError when a row has more or fewer cells."""
+    """Rows keyed by the header; ValueError when a row has more or fewer
+    cells, or when the csv module rejects a line (such as an oversized cell)."""
     reader = csv.DictReader(io.StringIO(text))
     rows = []
-    for row in reader:
-        # DictReader keys extra cells by None and fills missing ones with None
-        if None in row or None in row.values():
-            raise ValueError(f"line {reader.line_num}: cell count differs from the header's")
-        rows.append(row)
+    try:
+        for row in reader:
+            # DictReader keys extra cells by None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num}: cell count differs from the header's")
+            rows.append(row)
+    except csv.Error as exc:  # the DictReader's own line_num lags the failed line
+        raise ValueError(f"line {reader.reader.line_num}: {exc}") from exc
     return rows
 
 

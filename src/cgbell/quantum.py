@@ -22,7 +22,7 @@ quantum_bound works in two phases.  The sweeps, at most SWEEP_CAP of them,
 bring every restart near a local maximum; they stop once each restart has
 had a sweep that gained less than TOL.  Sweeps alone crawl near some
 maxima (I3422_1 took 1305 of them and still ended 7e-9 below sqrt(5)), so
-the best few restarts are then polished by damped Newton steps on the
+the best restart alone is then polished by damped Newton steps on the
 sphere in (theta, a, b) with the analytic gradient and Hessian (Absil,
 Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
 ch. 4-7), which stop at a certified local maximum: the gradient norm below
@@ -56,8 +56,7 @@ QUARTER_PI = math.pi / 4
 SWEEP_CAP = 30  # see-saw sweeps before the Newton polish
 TOL = 1e-10  # a sweep's least gain, and the polish's gradient norm per unit scale
 MARGIN = 1e-9  # how far Q must pass L beyond the reach of rounding
-POLISHED = 3  # restarts polished, best first, distinct in value
-POLISH_STEPS = 20  # Newton steps per polished restart
+POLISH_STEPS = 20  # Newton steps of the polish
 _HALVINGS = 0.5 ** np.arange(12)  # the polish's backtracking step lengths
 _ROUNDING = 16 * np.finfo(float).eps  # the reach of rounding in one value, per unit scale
 
@@ -82,7 +81,7 @@ class QuantumStrategy:
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{what} must have shape (n, 3)")
             norms = np.linalg.norm(arr, axis=1)
-            if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+            if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):  # False for NaN too
                 raise ValueError(f"{what} rows must be unit vectors")
             arr.flags.writeable = False
         object.__setattr__(self, "theta", theta)
@@ -335,9 +334,8 @@ def quantum_bound(
     unless ``fix_theta`` pins it (pi/4 for maximally entangled analyses).
     First all restarts are swept together, until every one of them has had
     a sweep that improved its value by less than TOL, or SWEEP_CAP times.
-    Then the best POLISHED restarts whose values lie more than 1e-9
-    apart take at most POLISH_STEPS damped Newton steps each.  The best
-    polished restart is returned, ties resolved to the earliest restart.
+    Then the best restart, the earliest on ties, takes at most POLISH_STEPS
+    damped Newton steps, and the polished restart is returned.
     ``converged`` is True when it is a certified local maximum: its gradient
     norm is below TOL * scale, with scale = 1 + sum|d|/4 + sum|c|/2 +
     sum|e|/2, and its Hessian is negative semidefinite up to 1e-9 * scale.
@@ -366,19 +364,8 @@ def quantum_bound(
         if done.all():
             break
 
-    # polish the best restarts, skipping any within 1e-9 of one already taken
-    order = np.argsort(-values, kind="stable")
-    ranked = -values[order]
-    taken, i = [], 0
-    while i < restarts and len(taken) < POLISHED:
-        taken.append(int(order[i]))
-        i = int(np.searchsorted(ranked, ranked[i] + 1e-9, side="right"))
-    certified = np.zeros(restarts, dtype=bool)
-    for r in taken:
-        a[..., r], b[..., r], theta[r], values[r], certified[r] = _polish(
-            *f, a[..., r], b[..., r], theta[r], values[r], update_theta, scale
-        )
-
-    best = min(taken, key=lambda r: (-values[r], r))  # the earliest on ties
-    strategy = QuantumStrategy(float(theta[best]), a[..., best], b[..., best])
-    return QuantumBoundResult(float(values[best]), strategy, bool(certified[best]))
+    best = int(np.argmax(values))  # the earliest on ties
+    a, b, theta, value, converged = _polish(
+        *f, a[..., best], b[..., best], theta[best], values[best], update_theta, scale
+    )
+    return QuantumBoundResult(float(value), QuantumStrategy(float(theta), a, b), bool(converged))

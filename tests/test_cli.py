@@ -104,6 +104,18 @@ def test_compare_row_with_wrong_cell_count_is_an_input_error(tmp_path, capsys, r
     assert out.out == "" and out.err.startswith("error: ") and "line 3" in out.err
 
 
+@pytest.mark.parametrize("side", ["--input", "--reference"])
+def test_compare_oversized_cell_is_an_input_error(tmp_path, capsys, side):
+    # the csv module refuses a field over 131,072 characters
+    lines = open(reference_csv_path(), encoding="utf-8").read().splitlines()
+    path = tmp_path / "report.csv"
+    path.write_text("\n".join([*lines[:2], lines[2] + "9" * 200_000, *lines[3:]]) + "\n", encoding="utf-8")
+    paths = {"--input": reference_csv_path(), "--reference": reference_csv_path(), side: str(path)}
+    assert main(["compare", *(arg for pair in paths.items() for arg in pair)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {path}: line 3: ")
+
+
 def test_compare_reference_against_itself(capsys):
     path = reference_csv_path()
     assert main(["compare", "--input", path, "--reference", path, "--normalized"]) == 0

@@ -19,7 +19,6 @@ from cgbell import (
 from cgbell import quantum
 from cgbell.quantum import (
     POLISH_STEPS,
-    POLISHED,
     QUARTER_PI,
     SWEEP_CAP,
     _batch_sweep,
@@ -198,6 +197,12 @@ class TestQuantumStrategy:
     def test_unit_rows_required(self):
         with pytest.raises(ValueError):
             QuantumStrategy(0.1, np.array([[1.0, 1.0, 0.0]]), np.array([Z]))
+
+    @pytest.mark.parametrize("side", ["a_vecs", "b_vecs"])
+    def test_nan_rows_rejected(self, side):
+        vecs = {"a_vecs": [Z], "b_vecs": [Z], side: [[math.nan, 0.0, 0.0]]}
+        with pytest.raises(ValueError, match=f"{side} rows must be unit vectors"):
+            QuantumStrategy(0.1, **vecs)
 
     def test_caller_arrays_stay_writeable(self):
         a, b = np.array([Z, X]), np.array([X])
@@ -608,8 +613,37 @@ class TestQuantumBound:
             quantum_bound(t, restarts=20, seed=1)
             sweeps = counts.count("sweep")
             assert sweeps <= quantum.SWEEP_CAP
-            assert 1 <= len(steps) <= POLISHED
-            assert all(s <= quantum.POLISH_STEPS and sweeps + s <= max_sweeps for s in steps)
+            assert len(steps) == 1
+            assert steps[0] <= quantum.POLISH_STEPS and sweeps + steps[0] <= max_sweeps
+
+    @pytest.mark.parametrize("fix_theta", [None, QUARTER_PI])
+    def test_polishes_the_sweep_best_restart_alone(self, fixtures, monkeypatch, fix_theta):
+        # every restart of the zero table sweeps to 0 exactly, a tie the earliest wins
+        sweeps, polished = [], []
+        sweep, polish = quantum._batch_sweep, quantum._polish
+        monkeypatch.setattr(quantum, "_batch_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+        monkeypatch.setattr(quantum, "_polish", lambda *args: polished.append(args) or polish(*args))
+        zero = CgTable(Scenario(2, 2), np.zeros((2, 2), int), np.zeros(2, int), np.zeros(2, int), 0)
+        restarts, seed = 8, 3
+        for t in (*fixtures, zero):
+            sweeps.clear()
+            polished.clear()
+            quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
+            assert len(polished) == 1
+            a, b, theta, value = polished[0][4:8]
+            swept = list(replayed(t, fix_theta, restarts, seed, len(sweeps)))
+            values = [quantum_value(t, s) for s in swept]
+            assert value == pytest.approx(max(values), abs=1e-12)
+            taken = next(
+                k
+                for k, s in enumerate(swept)
+                if np.allclose(s.a_vecs, a, atol=1e-9)
+                and np.allclose(s.b_vecs, b, atol=1e-9)
+                and abs(s.theta - theta) <= 1e-9
+            )
+            assert values[taken] == pytest.approx(max(values), abs=1e-12)
+            if not t.d.any():
+                assert taken == 0
 
     def test_zero_table_takes_theta_zero(self):
         # k1 = k2 = 0 and no interior peak: the tie goes to theta = 0
