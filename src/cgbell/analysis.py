@@ -284,28 +284,13 @@ def reference_csv_path() -> str:
 
 
 @dataclass(frozen=True)
-class ColumnDiff:
-    index: str
-    name: str
-    column: str
-    value: float
-    reference: float
-    delta: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.delta <= self.tol
-
-
-@dataclass(frozen=True)
 class CompareResult:
-    diffs: list[ColumnDiff]
-    structural: list[str]
+    """The number of values compared, the structural issues and one line
+    per value outside its tolerance: what `cgbell compare` prints."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.structural and all(d.ok for d in self.diffs)
+    compared: int
+    structural: list[str]
+    failures: list[str]
 
 
 # The normalisation-independent differences: column -> (minuend, subtrahend).
@@ -331,7 +316,7 @@ def _value(row: dict[str, str], column: str) -> Optional[float]:
 def compare_reports(
     rows: Sequence[dict[str, str]],
     reference: Sequence[dict[str, str]],
-    tolerances: Optional[dict[str, float]] = None,
+    tol: Optional[float] = None,
     normalized: bool = False,
 ) -> CompareResult:
     """Per-row, per-column absolute differences against a reference table.
@@ -340,24 +325,28 @@ def compare_reports(
     are compared only when ``normalized`` is off; with it, the
     normalisation-independent pairs L - N and Q - L are compared instead,
     which is what allows checking against references using a shifted form
-    of the same inequality.  A value the reference has and the report
-    lacks (no column, an empty cell, no raw columns to derive it from) is
-    a structural issue; one the reference lacks is not compared.  A
-    comparison that compares no value at all checks nothing, so it is a
-    structural issue too.  A compared cell that is not a number raises
-    ValueError, also when the other table leaves that cell empty.
+    of the same inequality.  Each column is held to its DEFAULT_TOLERANCES
+    entry, or every column to ``tol`` when it is given; a difference that
+    is not at most the tolerance (NaN included) is a failure, reported as
+    ``row I NAME COL: V vs R (|diff| D > tol T)``.  A value the reference
+    has and the report lacks (no column, an empty cell, no raw columns to
+    derive it from) is a structural issue; one the reference lacks is not
+    compared.  A comparison that compares no value at all checks nothing,
+    so it is a structural issue too.  Findings name a row by its index
+    cell, or by its 1-based position when that cell is absent or empty.  A
+    compared cell that is not a number raises ValueError, also when the
+    other table leaves that cell empty.
     """
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
     structural: list[str] = []
+    failures: list[str] = []
+    compared = 0
     if len(rows) != len(reference):
         structural.append(f"row count mismatch: report {len(rows)} vs reference {len(reference)}")
-    diffs: list[ColumnDiff] = []
-    for row, ref in zip(rows, reference):
+    for position, (row, ref) in enumerate(zip(rows, reference), start=1):
+        label = row.get("index") or position
         name, ref_name = row.get("name", ""), ref.get("name", "")
         if name != ref_name:
-            structural.append(f"name mismatch at index {row.get('index')}: {name!r} vs {ref_name!r}")
+            structural.append(f"name mismatch at index {label}: {name!r} vs {ref_name!r}")
             continue
         missing = []
         for col in (*INVARIANT_COLUMNS, *(_SHIFTS if normalized else ("L", "N", "Q"))):
@@ -367,22 +356,19 @@ def compare_reports(
             if a is None:
                 missing.append(col)
                 continue
-            diffs.append(
-                ColumnDiff(
-                    index=row.get("index", "?"),
-                    name=name,
-                    column=col,
-                    value=a,
-                    reference=b,
-                    delta=abs(a - b),
-                    tol=tols.get(col, 1e-6),
+            compared += 1
+            delta = abs(a - b)
+            limit = DEFAULT_TOLERANCES[col] if tol is None else tol
+            if not delta <= limit:  # a NaN difference fails too
+                failures.append(
+                    f"row {label} {name} {col}: {a:.6f} vs {b:.6f} "
+                    f"(|diff| {delta:.2e} > tol {limit:.2e})"
                 )
-            )
         if missing:
-            structural.append(f"missing at index {row.get('index')}: {', '.join(missing)}")
-    if not diffs and not structural:
+            structural.append(f"missing at index {label}: {', '.join(missing)}")
+    if not compared and not structural:
         structural.append("no value compared: the reference has no compared cell")
-    return CompareResult(diffs, structural)
+    return CompareResult(compared, structural, failures)
 
 
 # --- canonicalisation report --------------------------------------------------

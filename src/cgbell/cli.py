@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    DEFAULT_TOLERANCES,
     analyze_tables,
     compare_reports,
     group_equivalent,
@@ -89,22 +88,17 @@ def _cmd_analyze(args) -> int:
 def _cmd_compare(args) -> int:
     rows = _read_csv(args.input)
     reference = _read_csv(args.reference)
-    tolerances = None if args.tol is None else dict.fromkeys(DEFAULT_TOLERANCES, args.tol)
     try:
-        result = compare_reports(rows, reference, tolerances, normalized=args.normalized)
+        result = compare_reports(rows, reference, args.tol, normalized=args.normalized)
     except ValueError as exc:
         raise InputError(f"{args.input} vs {args.reference}: {exc}") from exc
     for issue in result.structural:
         print(f"structural: {issue}")
-    for d in result.diffs:
-        if not d.ok:
-            print(
-                f"row {d.index} {d.name} {d.column}: {d.value:.6f} vs {d.reference:.6f} "
-                f"(|diff| {d.delta:.2e} > tol {d.tol:.2e})"
-            )
-    n_bad = len(result.structural) + sum(not d.ok for d in result.diffs)
-    print(f"compared {len(result.diffs)} values: " + ("OK" if result.ok else f"{n_bad} failures"))
-    return 0 if result.ok else 1
+    for line in result.failures:
+        print(line)
+    n_bad = len(result.structural) + len(result.failures)
+    print(f"compared {result.compared} values: " + (f"{n_bad} failures" if n_bad else "OK"))
+    return 1 if n_bad else 0
 
 
 def _cmd_canon(args) -> int:

@@ -43,7 +43,7 @@ class ParseError(ValueError):
         super().__init__(f"line {lineno}: {message}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Scenario:
     """Number of binary-outcome settings per party."""
 

@@ -43,7 +43,7 @@ class InconsistencyError(ValueError):
     """A quantum value below the white-noise value; not producible by a valid run."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class NoClickAssignment:
     """Substituted output per setting: a_outputs[x] on Alice's x, b_outputs[y] on Bob's y."""
 

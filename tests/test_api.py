@@ -42,6 +42,8 @@ REMOVED = (
     "random_relabeling",
     # detect_lifting returns the reduced CgTable itself
     "Lifting",
+    # compare_reports returns the failing lines themselves
+    "ColumnDiff",
 )
 
 

@@ -9,6 +9,7 @@ from cgbell import (
     canonical_form,
     chsh,
     i3322,
+    load_report_csv,
     parse_file,
     quantum,
     reference_csv_path,
@@ -231,6 +232,38 @@ def test_compare_value_mismatch_exits_1(tmp_path, capsys):
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("row 1 CHSH lambda: ")
         assert out[-1] == "compared 30 values: 1 failures"
+
+
+def test_compare_tol_raises_every_column_above_its_default(tmp_path, capsys):
+    lines = open(reference_csv_path(), encoding="utf-8").read().splitlines()
+    cells = lines[1].split(",")
+    column = lines[0].split(",").index("lambda")
+    cells[column] = f"{float(cells[column]) + 0.5:.4f}"
+    path = tmp_path / "report.csv"
+    path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n", encoding="utf-8")
+    argv = ["compare", "--input", str(path), "--reference", reference_csv_path()]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "compared 30 values: 1 failures"
+    assert main([*argv, "--tol", "1"]) == 0
+    assert capsys.readouterr().out == "compared 30 values: OK\n"
+
+
+def test_compare_findings_name_rows_without_an_index_by_position(tmp_path, capsys):
+    rows = load_report_csv(open(reference_csv_path(), encoding="utf-8").read())
+    lams = [float(row["lambda"]) for row in rows]
+    lams[0] += 0.1
+    path = tmp_path / "report.csv"
+    path.write_text(
+        "name,lambda\n" + "".join(f"{row['name']},{lam}\n" for row, lam in zip(rows, lams)),
+        encoding="utf-8",
+    )
+    argv = ["compare", "--input", str(path), "--reference", reference_csv_path(), "--normalized"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    missing = "theta_over_pi, lambda_me, eta_sym, L_minus_N, Q_minus_L"
+    assert out[:5] == [f"structural: missing at index {i}: {missing}" for i in range(1, 6)]
+    assert out[5].startswith("row 1 CHSH lambda: ")
+    assert out[6:] == ["compared 5 values: 6 failures"]
 
 
 @pytest.mark.parametrize(
