@@ -27,7 +27,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -80,7 +79,7 @@ class AnalysisReport:
     name: Optional[str]
     scenario: Scenario
     local: int
-    noise: Fraction
+    noise: float
     quantum: float
     theta_over_pi: float
     lam: float
@@ -166,10 +165,6 @@ class RowFailure:
     message: str
 
 
-def _analyze_args(args) -> AnalysisReport:
-    return analyze_table(*args)
-
-
 def analyze_tables(
     tables: Sequence[CgTable],
     restarts: int = 50,
@@ -190,9 +185,9 @@ def analyze_tables(
 
         # the pool starts all its processes on the first submit
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            calls = [pool.submit(_analyze_args, job).result for job in jobs]
+            calls = [pool.submit(analyze_table, *job).result for job in jobs]
     else:
-        calls = [functools.partial(_analyze_args, job) for job in jobs]
+        calls = [functools.partial(analyze_table, *job) for job in jobs]
     reports: list[AnalysisReport] = []
     failures: list[RowFailure] = []
     for (table, index, *_), call in zip(jobs, calls):
@@ -213,7 +208,7 @@ def _row_values(r: AnalysisReport) -> dict[str, object]:
         "name": r.name,
         "scenario": str(r.scenario),
         "L": r.local,
-        "N": float(r.noise),
+        "N": r.noise,
         "Q": r.quantum,
         "theta_over_pi": r.theta_over_pi,
         "lambda": r.lam,
@@ -297,19 +292,19 @@ class CompareResult:
 _SHIFTS = {"L_minus_N": ("L", "N"), "Q_minus_L": ("Q", "L")}
 
 
-def _value(row: dict[str, str], column: str) -> Optional[float]:
+def _value(row: dict[str, str], column: str, position: int) -> Optional[float]:
     """A compared cell as a number; None when empty.  An empty or absent
     _SHIFTS column is derived from its two raw columns when both are set."""
     if row.get(column, "") == "":
         if column not in _SHIFTS:
             return None
-        a, b = (_value(row, c) for c in _SHIFTS[column])
+        a, b = (_value(row, c, position) for c in _SHIFTS[column])
         return None if a is None or b is None else a - b
     try:
         return float(row[column])
     except ValueError:
         raise ValueError(
-            f"row {row.get('index', '?')}: {column} is not a number: {row[column]!r}"
+            f"row {row.get('index') or position}: {column} is not a number: {row[column]!r}"
         ) from None
 
 
@@ -334,8 +329,8 @@ def compare_reports(
     compared.  A comparison that compares no value at all checks nothing,
     so it is a structural issue too.  Findings name a row by its index
     cell, or by its 1-based position when that cell is absent or empty.  A
-    compared cell that is not a number raises ValueError, also when the
-    other table leaves that cell empty.
+    compared cell that is not a number raises ValueError naming its row so,
+    also when the other table leaves that cell empty.
     """
     structural: list[str] = []
     failures: list[str] = []
@@ -350,7 +345,7 @@ def compare_reports(
             continue
         missing = []
         for col in (*INVARIANT_COLUMNS, *(_SHIFTS if normalized else ("L", "N", "Q"))):
-            a, b = _value(row, col), _value(ref, col)
+            a, b = _value(row, col, position), _value(ref, col, position)
             if b is None:
                 continue
             if a is None:

@@ -6,16 +6,18 @@ Subcommands:
     canon     canonical forms, duplicate groups and lifting flags
     fixtures  print the bundled inequalities in the file format
 
-Exit codes: 0 success, 1 tolerance/diff or per-row failure, 2 input error
-(a bad option value included).  `analyze` warns on standard error about each
-row whose see-saw did not reach a certified local maximum; the exit code
-ignores it.
+Exit codes: 0 success, 1 tolerance/diff or per-row failure, or standard
+output closed before the command wrote all of it (as by `| head`), 2 input
+error (a bad option value included).  `analyze` warns on standard error
+about each row whose see-saw did not reach a certified local maximum; the
+exit code ignores it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -169,10 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # devnull takes the interpreter's last flush (Python's signal docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .model import CgTable, Scenario
+from .model import CgTable, Scenario, _correlators
 
 # the 42 largest primes below 2^31 (residue products fit in int64); their product,
 # about 2^1302, exceeds h <= (2^16)^81: at most 81 diagonal entries, each <= 2^16
@@ -77,13 +76,10 @@ def local_bound(table: CgTable) -> int:
     return int(_vertex_values(table).max())
 
 
-def white_noise_value(table: CgTable) -> Fraction:
-    """Exact value on the white-noise behavior (joint 1/4, marginals 1/2)."""
-    return (
-        Fraction(int(table.d.sum()), 4)
-        + Fraction(int(table.c.sum()), 2)
-        + Fraction(int(table.e.sum()), 2)
-    )
+def white_noise_value(table: CgTable) -> float:
+    """Exact value on the white-noise behavior (joint 1/4, marginals 1/2): the
+    constant k0 of the correlator expansion, exact in float64 (model)."""
+    return float(_correlators(table)[3])
 
 
 def _gram(scenario: Scenario, saturating: np.ndarray) -> np.ndarray:

@@ -11,10 +11,13 @@ those coordinates together with a local bound::
 
 Coefficients are restricted to integers, which is what makes exact local
 bounds and exact facet ranks possible downstream.  Their magnitude, and the
-bound's, is capped at MAX_COEFFICIENT = 2^44: with at most 80 coefficients
-every vertex value, and every doubled one-detector sum of the detection
-analysis, stays below 4 * 80 * 2^44 < 2^53, so it is exact in int64 and in
-float64 alike.
+bound's, is capped at MAX_COEFFICIENT = 2^44.  Every value the package
+derives from a table as a sum of at most 80 coefficients, each weighted by
+1, 1/2 or 1/4, is then a multiple of 1/4 whose quadruple lies below
+4 * 80 * 2^44 < 2^53, and so is every partial sum on the way to it: the
+vertex values, the white-noise value N, the detection analysis's M_A, M_B
+and X, and the correlator expansion of _correlators.  float64 holds each
+of them exactly, as int64 holds the integer ones.
 
 The package never builds a behavior (a point of those coordinates): local
 values come from the int64 vertex grid of localpoly and quantum values from
@@ -138,6 +141,16 @@ class CgTable:
 
     def with_name(self, name: Optional[str]) -> "CgTable":
         return CgTable(self.scenario, self.d, self.c, self.e, self.bound, name)
+
+
+def _correlators(table: CgTable):
+    """(w, ua, ub, k0) with the functional equal to k0 + ua . <A> + ub . <B>
+    + sum_xy w[x, y] <A_x B_y> in +-1 correlators (Collins and Gisin, J. Phys.
+    A 37, 1775 (2004)), exact in float64: w = d/4, ua = (row sums of d)/4 + c/2,
+    ub = (column sums of d)/4 + e/2 and k0 = sum(d)/4 + (sum(c) + sum(e))/2,
+    the value on white noise."""
+    w, c, e = table.d / 4, table.c / 2, table.e / 2
+    return w, w.sum(axis=1) + c, w.sum(axis=0) + e, w.sum() + c.sum() + e.sum()
 
 
 # --- inequality file format -------------------------------------------------

@@ -4,10 +4,12 @@ The state family is |psi(theta)> = cos(theta)|00> + sin(theta)|11> with
 theta in [0, pi/4]; states with theta beyond pi/4 are locally equivalent to
 one in the range, with the bit flip absorbed into the measurement vectors.
 Each binary measurement is the projector (1 + v.sigma)/2 for a unit Bloch
-vector v, which gives the closed form
+vector v, which gives <A_x> = cos(2t) az, <B_y> = cos(2t) bz and
+<A_x B_y> = az bz + sin(2t)(ax bx - ay by).  In the table's correlator
+expansion (w, ua, ub, k0) of model._correlators the functional is then
 
-    p(00|xy) = [1 + cos(2t)(az + bz) + az*bz + sin(2t)(ax*bx - ay*by)] / 4
-    pA(0|x)  = [1 + cos(2t) az] / 2        (and symmetrically for Bob)
+    k0 + cos(2t) (ua . az + ub . bz)
+       + sum_xy w[x, y] (az[x] bz[y] + sin(2t) (ax[x] bx[y] - ay[x] by[y]))
 
 The Bell functional is linear in each measurement vector separately and a
 shifted cosine in theta, so see-saw sweeps (all of Alice, all of Bob, then
@@ -49,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import CgTable
+from .model import CgTable, _correlators
 
 _UNIT_TOL = 1e-12
 QUARTER_PI = math.pi / 4
@@ -99,19 +101,6 @@ class QuantumBoundResult:
 
 
 # --- vectorized multi-restart kernel -----------------------------------------
-
-
-def _functional(table: CgTable):
-    """(w, ua, ub, k0) as floats, with w = d/4 and the functional written as
-
-        k0 + cos(2t) (ua . az + ub . bz)
-           + sum_xy w[x, y] (az[x] bz[y] + sin(2t) (ax[x] bx[y] - ay[x] by[y]))
-
-    where ua = (row sums of d)/4 + c/2, ub = (column sums of d)/4 + e/2 and
-    k0 = sum(d)/4 + (sum(c) + sum(e))/2.
-    """
-    w, c, e = table.d / 4, table.c / 2, table.e / 2
-    return w, w.sum(axis=1) + c, w.sum(axis=0) + e, w.sum() + c.sum() + e.sum()
 
 
 def _scale(table: CgTable) -> float:
@@ -258,7 +247,7 @@ def _pi4_cannot_violate(table: CgTable, bound) -> bool:
     s = (bound - k0 - _ROUNDING * scale) / sqrt(na' nb').  Unlike s^2 I - w^T w
     it needs no matrix product, which would page in another BLAS routine.
     """
-    w, _, _, k0 = _functional(table)
+    w, _, _, k0 = _correlators(table)
     slack = bound - k0 - _ROUNDING * _scale(table)
     if slack < 0:
         return False
@@ -352,7 +341,7 @@ def quantum_bound(
         theta = rng.uniform(0.0, QUARTER_PI, size=restarts)
     else:
         theta = np.full(restarts, float(fix_theta))
-    f = _functional(table)
+    f = _correlators(table)
     scale = _scale(table)
     values = _batch_values(*f, a, b, theta)
     trig = _trig(theta)  # carried from sweep to sweep

@@ -30,7 +30,6 @@ needs computing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,13 +66,11 @@ def noise_resistance(table: CgTable, q: float) -> float:
     bound = local_bound(table)
     noise = white_noise_value(table)
     margin = _margin(table)
-    if q < float(noise) - margin:
-        raise InconsistencyError(
-            f"quantum value {q} below white-noise value {float(noise)}"
-        )
+    if q < noise - margin:
+        raise InconsistencyError(f"quantum value {q} below white-noise value {noise}")
     if q <= bound + margin:
         return 1.0
-    return float(bound - noise) / (q - float(noise))
+    return (bound - noise) / (q - noise)
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,9 @@ class DetectionAnalysis:
     no-detector value x, the optimal no-click assignment and its eta."""
 
     q: float
-    m_a: Fraction
-    m_b: Fraction
-    x: Fraction
+    m_a: float
+    m_b: float
+    x: float
     strategy: NoClickAssignment
     eta: float
 
@@ -144,9 +141,9 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     a_bits, b_bits = _bit_rows(table.scenario.na), _bit_rows(table.scenario.nb)
     return DetectionAnalysis(
         q_me,
-        Fraction(int(m_a2[j]), 2),
-        Fraction(int(m_b2[i]), 2),
-        Fraction(int(x_grid[i, j])),
+        float(m_a2[j]) / 2,
+        float(m_b2[i]) / 2,
+        float(x_grid[i, j]),
         NoClickAssignment(tuple(a_bits[i].tolist()), tuple(b_bits[j].tolist())),
         eta,
     )

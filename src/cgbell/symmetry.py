@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .localpoly import _bit_rows, _unused_settings, _vertex_values
-from .model import CgTable
+from .model import CgTable, _correlators
 
 
 def _flipped(
@@ -156,25 +155,23 @@ class CorrelatorForm:
     and the equality with the table's CG functional holds on every behavior.
     """
 
-    g: tuple[tuple[Fraction, ...], ...]
-    constant: Fraction
+    g: tuple[tuple[float, ...], ...]
+    constant: float
 
 
 def correlation_form(table: CgTable) -> Optional[CorrelatorForm]:
     """The table's correlator-only presentation, or None when it has none.
 
-    A table is expressible purely in correlators iff 2 c[x] = -sum_y d[x][y]
-    for every x and 2 e[y] = -sum_x d[x][y] for every y.  No relabeling
+    A table is expressible purely in correlators iff the one-party terms ua
+    and ub of its correlator expansion (model._correlators) vanish, that is
+    2 c[x] = -sum_y d[x][y] and 2 e[y] = -sum_x d[x][y].  No relabeling
     changes that: flipping Alice's x negates both sides of row x and adds
     2 d[x][y] to both sides of column y (Bob's flips alike), permutations
     reorder the equations and the swap exchanges rows and columns.  So the
-    table itself is tested, and no relabeling is searched.
+    table itself is tested, and no relabeling is searched.  Then g = w and
+    the constant is sum(w) = -k0, summed so that 0 never reads -0.0.
     """
-    d = table.d
-    if not (
-        np.array_equal(2 * table.c, -d.sum(axis=1))
-        and np.array_equal(2 * table.e, -d.sum(axis=0))
-    ):
+    w, ua, ub, _ = _correlators(table)
+    if ua.any() or ub.any():
         return None
-    g = tuple(tuple(Fraction(v, 4) for v in row) for row in d.tolist())
-    return CorrelatorForm(g, Fraction(int(d.sum()), 4))
+    return CorrelatorForm(tuple(map(tuple, w.tolist())), float(w.sum()))

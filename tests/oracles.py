@@ -3,11 +3,11 @@
 Everything here deliberately avoids the code paths under test: probabilities
 and Bell operators come from explicit 4x4 matrix algebra, bounds from brute-force
 enumeration over behaviors, thresholds from bisection, ranks from floating
-point SVD.  Facet checks and no-click values are the earlier per-vertex and
-per-assignment Fraction formulas, kept here as references for the integer
-kernels that replaced them, and canonical forms and correlator forms come
-from the earlier scans over the relabeling orbit and the earlier enumeration
-of row orders.
+point SVD.  Facet checks, no-click values and the white-noise value are the
+earlier per-vertex, per-assignment and per-table Fraction formulas, kept
+here as references for the integer and float64 kernels that replaced them,
+and canonical forms and correlator forms come from the earlier scans over
+the relabeling orbit and the earlier enumeration of row orders.
 
 The package's pipeline never builds a behavior or a group element, so the
 types for them live here: Behavior, with evaluate for the functional's
@@ -240,6 +240,15 @@ def facet_check_fraction(table: CgTable) -> tuple[bool, int, int, bool]:
         dim = exact_rank([[a - b for a, b in zip(v, base)] for v in saturating[1:]])
     is_facet = is_valid and dim == table.scenario.cg_dimension() - 1
     return is_valid, len(saturating), dim, is_facet
+
+
+def white_noise_fraction(table: CgTable) -> Fraction:
+    """Exact value on white noise (joint 1/4, marginals 1/2), in Python integers."""
+    return (
+        Fraction(sum(table.d.ravel().tolist()), 4)
+        + Fraction(sum(table.c.tolist()), 2)
+        + Fraction(sum(table.e.tolist()), 2)
+    )
 
 
 def assignment_values(table: CgTable, a_outputs, b_outputs) -> tuple[Fraction, Fraction, Fraction]:

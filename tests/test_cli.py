@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cgbell
 from cgbell import (
     Scenario,
     all_fixtures,
@@ -264,6 +269,37 @@ def test_compare_findings_name_rows_without_an_index_by_position(tmp_path, capsy
     assert out[:5] == [f"structural: missing at index {i}: {missing}" for i in range(1, 6)]
     assert out[5].startswith("row 1 CHSH lambda: ")
     assert out[6:] == ["compared 5 values: 6 failures"]
+
+
+def test_a_non_number_in_a_row_without_an_index_names_it_by_position(tmp_path, capsys):
+    rows = load_report_csv(Path(reference_csv_path()).read_text(encoding="utf-8"))
+    cells = ["abc", *(row["lambda"] for row in rows[1:])]
+    path = tmp_path / "report.csv"
+    path.write_text(
+        "name,lambda\n" + "".join(f"{row['name']},{cell}\n" for row, cell in zip(rows, cells)),
+        encoding="utf-8",
+    )
+    assert main(["compare", "--input", str(path), "--reference", reference_csv_path()]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith(": row 1: lambda is not a number: 'abc'\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "canon", "fixtures"])
+def test_a_closed_output_exits_1_without_a_traceback(fixture_file, command):
+    # the reader closes the pipe before the command writes, as `| head` may
+    argv = [command] if command == "fixtures" else [command, "--input", str(fixture_file)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cgbell.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cgbell.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ from cgbell import (
     CgTable,
     ParseError,
     Scenario,
+    correlation_form,
+    detection_threshold,
     local_bound,
     parse_file,
     serialize_file,
@@ -88,6 +90,30 @@ class TestCgTable:
             bound=MAX_COEFFICIENT,
         )
         assert local_bound(t) == (n * n + 2 * n) * MAX_COEFFICIENT
+
+    def test_values_near_the_cap_are_exact(self, rng):
+        # odd coefficients near +-2^44 in 8x8 tables: N, M_A, M_B, X and the
+        # correlator form are multiples of 1/4 up to about 2^50, which float64
+        # holds exactly, as the Fraction references show
+        n = 8
+        checkerboard = 1 - 2 * (np.add.outer(np.arange(n), np.arange(n)) % 2)
+
+        def near_cap(signs):
+            return signs * (MAX_COEFFICIENT - 1 - 2 * rng.integers(0, 2**10, size=signs.shape))
+
+        for signs in (np.ones((n, n), int), rng.choice([-1, 1], size=(n, n)), checkerboard):
+            t = CgTable(Scenario(n, n), near_cap(signs), near_cap(signs[0]), near_cap(signs[1]), 0)
+            assert white_noise_value(t) == oracles.white_noise_fraction(t)
+            # no violation, and one far above every vertex value
+            for q_me in (0.0, 2.0**52):
+                got = detection_threshold(t, q_me)
+                assignment = got.strategy.a_outputs, got.strategy.b_outputs
+                assert (got.m_a, got.m_b, got.x) == oracles.assignment_values(t, *assignment)
+            d = near_cap(checkerboard)  # rows and columns sum to little
+            corr = CgTable(Scenario(n, n), d, -d.sum(axis=1) // 2, -d.sum(axis=0) // 2, 0)
+            form = correlation_form(corr)
+            assert (form.g, form.constant) == oracles.correlation_form_search(corr)[:2]
+            assert white_noise_value(corr) == -form.constant
 
     def test_name_validation(self):
         with pytest.raises(ValueError):
@@ -247,7 +273,11 @@ class TestSerialize:
         assert serialize_file([]) == ""
 
     def test_round_trip_fixtures(self, fixtures):
-        assert parse_file(serialize_file(fixtures)) == fixtures
+        parsed = parse_file(serialize_file(fixtures))
+        assert parsed == fixtures
+        assert list(map(hash, parsed)) == list(map(hash, fixtures))
+        # a parsed-back duplicate adds nothing to a set
+        assert len({*fixtures, *parsed}) == len(fixtures)
 
     @given(
         na=st.integers(1, 4),

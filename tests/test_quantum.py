@@ -17,14 +17,15 @@ from cgbell import (
     white_noise_value,
 )
 from cgbell import quantum
+from cgbell.model import _correlators
 from cgbell.quantum import (
     POLISH_STEPS,
     QUARTER_PI,
     SWEEP_CAP,
+    _ROUNDING,
     _batch_sweep,
     _batch_values,
     _block_coefficients,
-    _functional,
     _margin,
     _newton_model,
     _pi4_cannot_violate,
@@ -59,7 +60,7 @@ CHSH_OPTIMAL = dict(
 def kernel_value(table, s):
     """The functional at a strategy, by quantum_bound's kernel on a batch of one."""
     a, b, theta = s.a_vecs[..., None], s.b_vecs[..., None], np.array([s.theta])
-    return _batch_values(*_functional(table), a, b, theta)[0]
+    return _batch_values(*_correlators(table), a, b, theta)[0]
 
 
 def seesaw_step(table, s, update_theta=True):
@@ -67,13 +68,13 @@ def seesaw_step(table, s, update_theta=True):
     strategy: quantum_bound's batched sweep on a batch of one, alike up to
     rounding, as BLAS picks kernels by size."""
     a, b, theta = s.a_vecs[..., None], s.b_vecs[..., None], np.array([s.theta])
-    a, b, theta, _ = _batch_sweep(*_functional(table), a, b, theta, update_theta)
+    a, b, theta, _ = _batch_sweep(*_correlators(table), a, b, theta, update_theta)
     return QuantumStrategy(theta[0], a[..., 0], b[..., 0])
 
 
 def block_coefficients(table, s, party):
     """The see-saw gradient in one party's vectors, from the kernel on a batch of one."""
-    d, ua, ub, _ = _functional(table)
+    d, ua, ub, _ = _correlators(table)
     trig = _trig(np.array([s.theta]))
     if party == "a":
         return _block_coefficients(_product(d, s.b_vecs[..., None]), ua, trig)[..., 0]
@@ -87,7 +88,7 @@ def functional_scale(table):
 def certified(table, s, free_theta):
     """Gradient below TOL * scale and Hessian below 1e-9 * scale, by eigenvalues,
     with theta held at a bound its gradient points out of."""
-    d, ua, ub, _ = _functional(table)
+    d, ua, ub, _ = _correlators(table)
     g, h = _newton_model(d, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
     if free_theta and (s.theta == 0.0 and g[-1] <= 0 or s.theta == QUARTER_PI and g[-1] >= 0):
         g, h = g[:-1], h[:-1, :-1]
@@ -278,7 +279,7 @@ class TestSeesaw:
             b = np.array([s.b_vecs for s in starts]).transpose(1, 2, 0)
             theta = np.array([s.theta for s in starts])
             for _ in range(sweeps):
-                a, b, theta, values = _batch_sweep(*_functional(t), a, b, theta, True)
+                a, b, theta, values = _batch_sweep(*_correlators(t), a, b, theta, True)
             for r, s in enumerate(starts):
                 for _ in range(sweeps):
                     s = seesaw_step(t, s)
@@ -366,7 +367,7 @@ class TestSeesaw:
             a0 = np.array([s.a_vecs for s in starts]).transpose(1, 2, 0)
             b0 = np.array([s.b_vecs for s in starts]).transpose(1, 2, 0)
             theta0 = np.array([s.theta for s in starts])
-            a, b, theta, _ = _batch_sweep(*_functional(t), a0, b0, theta0, True)
+            a, b, theta, _ = _batch_sweep(*_correlators(t), a0, b0, theta0, True)
             for r, s in enumerate(starts):
                 kept_a = unused + ([0] if r in (1, 4) else [])
                 for vecs, old, kept in ((a, a0, kept_a), (b, b0, unused)):
@@ -401,7 +402,7 @@ class TestNewtonModel:
 
     @staticmethod
     def values_along(table, s, u, u_theta, steps):
-        d, ua, ub, k0 = _functional(table)
+        d, ua, ub, k0 = _correlators(table)
         na = len(s.a_vecs)
         moved = np.concatenate((s.a_vecs, s.b_vecs)) + steps[:, None, None] * u
         moved /= np.linalg.norm(moved, axis=2, keepdims=True)
@@ -417,7 +418,7 @@ class TestNewtonModel:
             scale = functional_scale(t)
             for _ in range(3):
                 s = random_strategy(rng, na, nb, theta)
-                d, ua, ub, _ = _functional(t)
+                d, ua, ub, _ = _correlators(t)
                 g, h = _newton_model(d, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
                 n = 3 * (na + nb)
                 assert h.shape == (len(g), len(g)) == (n + free_theta,) * 2
@@ -437,6 +438,51 @@ class TestNewtonModel:
                 normal[:n] = v.ravel() * rng.normal(size=(na + nb, 1)).repeat(3, axis=1).ravel()
                 assert abs(g @ normal) <= 1e-12 * scale
                 assert np.abs(h @ normal).max() <= 1e-12 * scale
+
+
+class TestPolishNearAMinimum:
+    """_polish started 1e-3 off a minimiser, the maximiser of the negated
+    table: there H is positive definite, so mu must grow before mu I - H
+    has a Cholesky factor."""
+
+    @staticmethod
+    def start(table, rng):
+        negated = CgTable(table.scenario, -table.d, -table.c, -table.e, 0)
+        low = quantum_bound(negated, seed=3).strategy
+
+        def off(v):
+            v = v + 1e-3 * rng.normal(size=v.shape)
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+        a, b = off(low.a_vecs), off(low.b_vecs)
+        theta = min(max(low.theta, 1e-3), QUARTER_PI - 1e-3)
+        f = _correlators(table)
+        value = _batch_values(*f, a[..., None], b[..., None], np.array([theta]))[0]
+        return f, a, b, theta, value
+
+    @pytest.mark.parametrize("make", [chsh, i3322])
+    def test_damping_grows_and_the_value_never_drops(self, make, rng, monkeypatch):
+        t = make()
+        f, a, b, theta, value = self.start(t, rng)
+        scale = functional_scale(t)
+        tests, real = [], quantum._negative_definite
+        monkeypatch.setattr(
+            quantum, "_negative_definite", lambda *args: tests.append(real(*args)) or tests[-1]
+        )
+        a, b, theta, polished, _ = quantum._polish(*f, a, b, theta, value, True, scale)
+        assert False in tests
+        assert polished >= value - _ROUNDING * scale
+        at_end = _batch_values(*f, a[..., None], b[..., None], np.array([theta]))[0]
+        assert polished == pytest.approx(at_end, abs=_ROUNDING * scale)
+
+    @pytest.mark.parametrize("make", [chsh, i3322])
+    def test_no_rising_step_returns_the_start(self, make, rng, monkeypatch):
+        t = make()
+        f, a, b, theta, value = self.start(t, rng)
+        no_rise = np.full(len(quantum._HALVINGS), -math.inf)
+        monkeypatch.setattr(quantum, "_batch_values", lambda *args: no_rise)
+        out = quantum._polish(*f, a, b, theta, value, True, functional_scale(t))
+        assert out[0] is a and out[1] is b and out[2:] == (theta, value, False)
 
 
 class TestClosedForms:
