@@ -87,7 +87,7 @@ class TestNoiseResistance:
         reference = load_report_csv(open(reference_csv_path(), encoding="utf-8").read())
         for t, row in zip(fixtures, reference):
             assert t.name == row["name"]
-            bound, noise = local_bound(t), white_noise_value(t)
+            bound, noise = local_bound(t), oracles.white_noise_fraction(t)
             q = bound + float(row["Q_minus_L"])
             exact = (bound - noise) / (Fraction(q) - noise)
             lam = noise_resistance(t, q)
