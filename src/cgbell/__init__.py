@@ -39,7 +39,7 @@ from .robustness import (
     detection_threshold,
     noise_resistance,
 )
-from .symmetry import CorrelatorForm, canonical_form, correlation_form
+from .symmetry import canonical_form, correlation_form
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "CanonGroup",
     "CgTable",
     "CompareResult",
-    "CorrelatorForm",
     "DetectionAnalysis",
     "FacetReport",
     "InconsistencyError",

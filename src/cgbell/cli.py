@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .fixtures import all_fixtures
 from .localpoly import detect_lifting
-from .model import ParseError, parse_file, serialize_file
+from .model import parse_file, serialize_file
 
 
 class InputError(Exception):
@@ -52,26 +52,17 @@ def _number(kind, low):
     return parse
 
 
-def _read_tables(path: str):
+def _read(path: str, parse):
+    """parse(text of the file at path); a ParseError and a UnicodeDecodeError
+    are ValueErrors, so every unreadable or malformed file is an InputError."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    try:
-        return parse_file(text)
-    except ParseError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _read_csv(path: str):
-    try:
-        return load_report_csv(Path(path).read_text(encoding="utf-8-sig"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
-    tables = _read_tables(args.input)
+    tables = _read(args.input, parse_file)
     reports, failures = analyze_tables(tables, restarts=args.restarts, seed=args.seed, workers=args.workers)
     render = {"csv": to_csv, "json": to_json, "md": to_markdown}[args.output]
     sys.stdout.write(render(reports))
@@ -88,8 +79,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows = _read_csv(args.input)
-    reference = _read_csv(args.reference)
+    rows = _read(args.input, load_report_csv)
+    reference = _read(args.reference, load_report_csv)
     try:
         result = compare_reports(rows, reference, args.tol, normalized=args.normalized)
     except ValueError as exc:
@@ -104,7 +95,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    tables = _read_tables(args.input)
+    tables = _read(args.input, parse_file)
     try:
         groups = group_equivalent(tables)
     except ValueError as exc:

@@ -72,6 +72,10 @@ def _int_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    # numpy holds a Python int past 64 bits, None or a str as an object or
+    # string array, and the cast to int64 would drop an imaginary part
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} entries must be real numbers within +-2**44, got {arr.dtype}")
     # bound the values before a cast to int64 could wrap them; numpy
     # compares integers of every width exactly, int64's minimum included
     if arr.max() > MAX_COEFFICIENT or arr.min() < -MAX_COEFFICIENT:
@@ -112,8 +116,9 @@ class CgTable:
         if abs(int(self.bound)) > MAX_COEFFICIENT:
             raise ValueError(f"bound must lie within +-2**44, got {self.bound}")
         object.__setattr__(self, "bound", int(self.bound))
-        # a name must survive serialize_file: parse_file strips it and splits
-        # lines wherever str.splitlines does, and '#' opens a comment
+        # a name must survive serialize_file: parse_file strips it and '#'
+        # opens a comment; nor may it hold a line end of str.splitlines, at
+        # which other readers of the file would break the line
         name = self.name
         if name is not None and (
             not name or "#" in name or name != name.strip() or name.splitlines() != [name]
@@ -155,8 +160,8 @@ def _correlators(table: CgTable):
 
 # --- inequality file format -------------------------------------------------
 #
-# UTF-8 text, '#' starts a comment, blank lines ignored. One block per
-# inequality, order significant:
+# UTF-8 text with \n, \r\n or \r line ends, '#' starts a comment, blank
+# lines ignored. One block per inequality, order significant:
 #
 #   inequality <name>          (name optional)
 #   scenario <na> <nb>
@@ -169,7 +174,10 @@ def _correlators(table: CgTable):
 
 
 def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # str.splitlines would also end a line at \v, \f, \x1c-\x1e, \x85,
+    # U+2028 and U+2029, which may stand in a comment
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             yield lineno, stripped
@@ -216,6 +224,7 @@ def parse_file(text: str) -> list[CgTable]:
         if head[0] != "inequality":
             raise ParseError(lineno, f"expected 'inequality', got {head[0]!r}")
         name = head[1].strip() if len(head) > 1 else None
+        name_line = lineno
 
         lineno, rest = keyword_line("scenario")
         na, nb = _parse_ints(lineno, rest, 2, "scenario")
@@ -240,7 +249,10 @@ def parse_file(text: str) -> list[CgTable]:
         lineno, line = take()
         if line != "end":
             raise ParseError(lineno, f"expected 'end', got {line!r}")
-        tables.append(CgTable(scenario, rows, c, e, bound, name))
+        try:
+            tables.append(CgTable(scenario, rows, c, e, bound, name))
+        except ValueError as exc:  # the parsed coefficients are valid, so it is the name
+            raise ParseError(name_line, str(exc)) from None
     return tables
 
 

@@ -244,16 +244,15 @@ def _pi4_cannot_violate(table: CgTable, bound) -> bool:
     column of w is nonzero.  |w|_2 < s is tested as a Cholesky factor of
     [[s I, w], [w^T, s I]], positive definite exactly then (its eigenvalues
     are s +- the singular values of w, and s), with
-    s = (bound - k0 - _ROUNDING * scale) / sqrt(na' nb').  Unlike s^2 I - w^T w
-    it needs no matrix product, which would page in another BLAS routine.
+    s = (bound - k0 - _ROUNDING * scale) / sqrt(na' nb'); an s <= 0 fails the
+    factorisation.  Unlike s^2 I - w^T w it needs no matrix product, which
+    would page in another BLAS routine.
     """
     w, _, _, k0 = _correlators(table)
     slack = bound - k0 - _ROUNDING * _scale(table)
-    if slack < 0:
-        return False
     used = np.count_nonzero(w.any(axis=1)) * np.count_nonzero(w.any(axis=0))
     if used == 0:
-        return True  # w = 0: every value is k0
+        return slack >= 0  # w = 0: every value is k0
     na = len(w)
     m = np.zeros((na + w.shape[1],) * 2)
     m[:na, na:], m[na:, :na] = w, w.T

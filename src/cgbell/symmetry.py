@@ -42,7 +42,6 @@ which are not pruned (the 8x8 identity ends with 8! = 40,320 states).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -147,31 +146,23 @@ def canonical_form(table: CgTable) -> CgTable:
     return CgTable(t.scenario, best_d, least[:na], least[na:], t.bound - int(top), None)
 
 
-@dataclass(frozen=True)
-class CorrelatorForm:
-    """Full-correlation presentation: sum_xy g[x][y] E(x,y) - constant.
+def correlation_form(table: CgTable) -> Optional[tuple[tuple[float, ...], ...]]:
+    """The correlator matrix g of the table's correlator-only presentation,
+    or None when it has none.
 
-    ``E(x,y) = p(a=b|xy) - p(a!=b|xy) = 4 p(00|xy) - 2 pA(0|x) - 2 pB(0|y) + 1``
-    and the equality with the table's CG functional holds on every behavior.
-    """
-
-    g: tuple[tuple[float, ...], ...]
-    constant: float
-
-
-def correlation_form(table: CgTable) -> Optional[CorrelatorForm]:
-    """The table's correlator-only presentation, or None when it has none.
-
-    A table is expressible purely in correlators iff the one-party terms ua
-    and ub of its correlator expansion (model._correlators) vanish, that is
-    2 c[x] = -sum_y d[x][y] and 2 e[y] = -sum_x d[x][y].  No relabeling
-    changes that: flipping Alice's x negates both sides of row x and adds
-    2 d[x][y] to both sides of column y (Bob's flips alike), permutations
-    reorder the equations and the swap exchanges rows and columns.  So the
-    table itself is tested, and no relabeling is searched.  Then g = w and
-    the constant is sum(w) = -k0, summed so that 0 never reads -0.0.
+    With E(x,y) = p(a=b|xy) - p(a!=b|xy) = 4 p(00|xy) - 2 pA(0|x) - 2 pB(0|y) + 1,
+    the functional equals white_noise_value(table) + sum_xy g[x][y] E(x,y) on
+    every behavior.  A table is expressible purely in correlators iff the
+    one-party terms ua and ub of its correlator expansion (model._correlators)
+    vanish, that is 2 c[x] = -sum_y d[x][y] and 2 e[y] = -sum_x d[x][y].  No
+    relabeling changes that: flipping Alice's x negates both sides of row x
+    and adds 2 d[x][y] to both sides of column y (Bob's flips alike),
+    permutations reorder the equations and the swap exchanges rows and
+    columns.  So the table itself is tested, and no relabeling is searched.
+    Then g = w, as a tuple of float rows: immutable, and truthy even for the
+    zero table.
     """
     w, ua, ub, _ = _correlators(table)
     if ua.any() or ub.any():
         return None
-    return CorrelatorForm(tuple(map(tuple, w.tolist())), float(w.sum()))
+    return tuple(map(tuple, w.tolist()))

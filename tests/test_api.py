@@ -44,6 +44,8 @@ REMOVED = (
     "Lifting",
     # compare_reports returns the failing lines themselves
     "ColumnDiff",
+    # correlation_form returns the correlator matrix g itself
+    "CorrelatorForm",
 )
 
 

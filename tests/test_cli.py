@@ -401,3 +401,24 @@ def test_canon_prints_groups_in_order_of_first_member(tmp_path, capsys):
     for g, (block, members) in enumerate(zip(blocks[1:4], ([1, 3], [2], [4])), start=1):
         for i in members:
             assert parse_file(block) == [canonical_form(tables[i - 1]).with_name(f"group_{g}")]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "command,expected",
+    [
+        (["fixtures"], "fixtures.txt"),
+        (["analyze", "--input", str(DATA / "fixtures.txt")], "fixtures_analyze.csv"),
+        (["canon", "--input", str(DATA / "fixtures.txt")], "fixtures_canon.txt"),
+    ],
+)
+def test_fixture_outputs_are_byte_identical(capsys, command, expected):
+    # the files hold the commands' output at the default options; every CSV
+    # value lies at least 3.3e-8 from a 6-decimal rounding boundary, so
+    # rounding noise in BLAS cannot move a digit
+    assert main(command) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.encode("utf-8") == (DATA / expected).read_bytes()

@@ -7,6 +7,7 @@ from cgbell import (
     CgTable,
     ParseError,
     Scenario,
+    all_fixtures,
     correlation_form,
     detection_threshold,
     local_bound,
@@ -29,6 +30,15 @@ d 1 1
   1 -1
 end
 """
+
+# the characters other than \r and \n at which str.splitlines ends a line
+LINE_BREAKS_OF_SPLITLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+FIXTURES_TEXT = serialize_file(all_fixtures())
+# what a mutation of a file inserts most often: keywords, digits, signs,
+# separators, comments and line breaks of every kind
+MUTATION_PIECES = list("0123456789+-_ #\t\n\r") + LINE_BREAKS_OF_SPLITLINES + [
+    "end", "inequality", "scenario 1 1", "bound", "c", "e", "d", "99999999999999"
+]
 
 
 class TestScenario:
@@ -111,9 +121,9 @@ class TestCgTable:
                 assert (got.m_a, got.m_b, got.x) == oracles.assignment_values(t, *assignment)
             d = near_cap(checkerboard)  # rows and columns sum to little
             corr = CgTable(Scenario(n, n), d, -d.sum(axis=1) // 2, -d.sum(axis=0) // 2, 0)
-            form = correlation_form(corr)
-            assert (form.g, form.constant) == oracles.correlation_form_search(corr)[:2]
-            assert white_noise_value(corr) == -form.constant
+            g = correlation_form(corr)
+            assert (g, -white_noise_value(corr)) == oracles.correlation_form_search(corr)[:2]
+            assert white_noise_value(corr) == -float(np.sum(g))
 
     def test_name_validation(self):
         with pytest.raises(ValueError):
@@ -123,6 +133,18 @@ class TestCgTable:
             with pytest.raises(ValueError):
                 CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name=name)
         assert CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name="a b\tc").name == "a b\tc"
+
+    @pytest.mark.parametrize(
+        "values", [[[1 + 1j, 0], [0, 0]], [["1", "0"], ["0", "0"]], [[None, 0], [0, 0]]]
+    )
+    def test_non_real_coefficients(self, values):
+        # numpy would drop the imaginary part with a ComplexWarning, and fail
+        # on the str and None entries with its own TypeErrors
+        with pytest.raises(ValueError, match="real numbers"):
+            CgTable(Scenario(2, 2), d=values, c=[0, 0], e=[0, 0], bound=0)
+        with pytest.raises(ValueError, match="real numbers"):
+            CgTable(Scenario(1, 2), d=[[0, 0]], c=[0], e=values[0], bound=0)
+        assert CgTable(Scenario(1, 1), d=[[True]], c=[0], e=[0], bound=0).d.tolist() == [[1]]
 
     def test_immutability(self, chsh_table):
         with pytest.raises(ValueError):
@@ -262,6 +284,56 @@ class TestParse:
     def test_unnamed_inequality(self):
         tables = parse_file(CHSH_BLOCK.replace("inequality CHSH", "inequality"))
         assert tables[0].name is None
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, chsh_table, end):
+        text = CHSH_BLOCK.replace("\n", end)
+        assert parse_file(text) == [chsh_table]
+        with pytest.raises(ParseError, match="'zero'") as err:
+            parse_file(text.replace("bound 0", "bound zero"))
+        assert err.value.lineno == 3
+
+    @pytest.mark.parametrize("char", LINE_BREAKS_OF_SPLITLINES)
+    def test_only_cr_and_lf_end_a_line(self, fixtures, char):
+        # a comment may hold any other character: it neither ends early nor
+        # moves the line number of a later error
+        lines = FIXTURES_TEXT.split("\n")
+        assert lines[9:12] == ["inequality I3322", "scenario 3 3", "bound 0"]
+        lines[9] += f"  # a note{char}more words"
+        assert parse_file("\n".join(lines)) == fixtures
+        lines[11] = "bound zero"
+        with pytest.raises(ParseError, match="non-integer coefficient 'zero' in bound") as err:
+            parse_file("\n".join(lines))
+        assert err.value.lineno == 12
+
+    @pytest.mark.parametrize("char", LINE_BREAKS_OF_SPLITLINES)
+    def test_a_name_no_table_takes_fails_on_its_line(self, char):
+        # CgTable refuses a name that str.splitlines would break
+        text = "# first\n" + CHSH_BLOCK.replace("CHSH", f"CH{char}SH")
+        with pytest.raises(ParseError, match="invalid inequality name") as err:
+            parse_file(text)
+        assert err.value.lineno == 2
+
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, len(FIXTURES_TEXT)),
+                st.integers(0, 4),
+                st.lists(st.sampled_from(MUTATION_PIECES) | st.characters(), max_size=3).map("".join),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files_raise_only_parse_errors(self, edits):
+        text = FIXTURES_TEXT
+        for at, cut, insert in edits:
+            text = text[:at] + insert + text[at + cut :]
+        try:
+            parse_file(text)
+        except ParseError:
+            pass
 
     def test_order_preserved(self, fixtures):
         parsed = parse_file(serialize_file(fixtures))

@@ -74,11 +74,11 @@ def seesaw_step(table, s, update_theta=True):
 
 def block_coefficients(table, s, party):
     """The see-saw gradient in one party's vectors, from the kernel on a batch of one."""
-    d, ua, ub, _ = _correlators(table)
+    w, ua, ub, _ = _correlators(table)
     trig = _trig(np.array([s.theta]))
     if party == "a":
-        return _block_coefficients(_product(d, s.b_vecs[..., None]), ua, trig)[..., 0]
-    return _block_coefficients(_product(d.T, s.a_vecs[..., None]), ub, trig)[..., 0]
+        return _block_coefficients(_product(w, s.b_vecs[..., None]), ua, trig)[..., 0]
+    return _block_coefficients(_product(w.T, s.a_vecs[..., None]), ub, trig)[..., 0]
 
 
 def functional_scale(table):
@@ -88,8 +88,8 @@ def functional_scale(table):
 def certified(table, s, free_theta):
     """Gradient below TOL * scale and Hessian below 1e-9 * scale, by eigenvalues,
     with theta held at a bound its gradient points out of."""
-    d, ua, ub, _ = _correlators(table)
-    g, h = _newton_model(d, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
+    w, ua, ub, _ = _correlators(table)
+    g, h = _newton_model(w, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
     if free_theta and (s.theta == 0.0 and g[-1] <= 0 or s.theta == QUARTER_PI and g[-1] >= 0):
         g, h = g[:-1], h[:-1, :-1]
     scale = functional_scale(table)
@@ -402,13 +402,13 @@ class TestNewtonModel:
 
     @staticmethod
     def values_along(table, s, u, u_theta, steps):
-        d, ua, ub, k0 = _correlators(table)
+        w, ua, ub, k0 = _correlators(table)
         na = len(s.a_vecs)
         moved = np.concatenate((s.a_vecs, s.b_vecs)) + steps[:, None, None] * u
         moved /= np.linalg.norm(moved, axis=2, keepdims=True)
         thetas = s.theta + steps * u_theta
         moved = moved.transpose(1, 2, 0)
-        return _batch_values(d, ua, ub, k0, moved[:na], moved[na:], thetas)
+        return _batch_values(w, ua, ub, k0, moved[:na], moved[na:], thetas)
 
     @pytest.mark.parametrize("theta", [None, 0.0, QUARTER_PI])
     @pytest.mark.parametrize("free_theta", [True, False])
@@ -418,8 +418,8 @@ class TestNewtonModel:
             scale = functional_scale(t)
             for _ in range(3):
                 s = random_strategy(rng, na, nb, theta)
-                d, ua, ub, _ = _correlators(t)
-                g, h = _newton_model(d, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
+                w, ua, ub, _ = _correlators(t)
+                g, h = _newton_model(w, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
                 n = 3 * (na + nb)
                 assert h.shape == (len(g), len(g)) == (n + free_theta,) * 2
                 np.testing.assert_array_equal(h, h.T)
@@ -627,7 +627,8 @@ class TestQuantumBound:
 
     @pytest.mark.parametrize("max_sweeps", [1, 5, 31, 45])
     def test_max_sweeps_bounds_sweeps_and_newton_steps(self, fixtures, monkeypatch, max_sweeps):
-        # max_sweeps is a budget of sweeps plus Newton steps, split by cap_work
+        # the parameter is a budget of sweeps plus Newton steps per restart,
+        # which cap_work spends on SWEEP_CAP sweeps first, then POLISH_STEPS
         cap_work(monkeypatch, max_sweeps)
         counts = []
         sweep, model = quantum._batch_sweep, quantum._newton_model
@@ -731,6 +732,14 @@ class TestPi4Certificate:
             bound, margin = oracles.pi4_correlator_bound(t), 1e-9 * functional_scale(t)
             assert _pi4_cannot_violate(t, bound + margin)
             assert not _pi4_cannot_violate(t, bound - margin)
+
+    def test_no_certificate_below_the_white_noise_value(self, fixtures):
+        # negating Bob's vectors negates every term but k0, so some pi/4 value
+        # is at least k0 and no bound below it holds; here w != 0
+        for t in fixtures:
+            k0 = _correlators(t)[3]
+            assert not _pi4_cannot_violate(t, k0 - 1e-6)
+            assert not _pi4_cannot_violate(t, k0 - 1.0)
 
     def test_no_pi4_seesaw_passes_a_certified_bound(self, rng):
         tables = list(relabeled_lifts(rng))

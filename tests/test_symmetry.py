@@ -246,23 +246,23 @@ class TestCanonicalForm:
 
 class TestCorrelationForm:
     def test_chsh(self, chsh_table):
-        form = correlation_form(chsh_table)
-        assert form is not None
+        g = correlation_form(chsh_table)
+        assert g is not None
         quarter = Fraction(1, 4)
-        assert form.g == ((quarter, quarter), (quarter, -quarter))
-        assert form.constant == Fraction(1, 2)
-        # E-form local bound: 4 * (bound + constant) gives the familiar
+        assert g == ((quarter, quarter), (quarter, -quarter))
+        assert -white_noise_value(chsh_table) == Fraction(1, 2)
+        # E-form local bound: 4 * (bound - N) gives the familiar
         # E00+E01+E10-E11 <= 2
-        assert 4 * (chsh_table.bound + form.constant) == 2
+        assert 4 * (chsh_table.bound - white_noise_value(chsh_table)) == 2
 
     def test_i3322_has_none(self, i3322_table):
         assert correlation_form(i3322_table) is None
 
     def test_zero_table(self):
         t = CgTable(Scenario(2, 2), np.zeros((2, 2), int), [0, 0], [0, 0], 0)
-        form = correlation_form(t)
-        assert form is not None
-        assert all(v == 0 for row in form.g for v in row)
+        g = correlation_form(t)
+        assert g is not None
+        assert all(v == 0 for row in g for v in row)
 
     def test_invariant_under_relabeling(self, chsh_table, i3322_table, rng):
         for t, expected in ((chsh_table, True), (i3322_table, False)):
@@ -271,10 +271,9 @@ class TestCorrelationForm:
                 assert (correlation_form(apply_relabeling(t, r)) is not None) is expected
 
     def test_reconstruction_identity(self, chsh_table, rng):
-        # rebuilding a CG table from (g, constant) gives the table's
-        # functional shifted by the constant on every behavior
-        form = correlation_form(chsh_table)
-        g = np.array([[float(v) for v in row] for row in form.g])
+        # rebuilding a CG table from g gives the table's functional, and
+        # N + sum g E equals it on every behavior
+        g = np.array([[float(v) for v in row] for row in correlation_form(chsh_table)])
         rebuilt = CgTable(
             chsh_table.scenario,
             (4 * g).astype(int),
@@ -286,7 +285,7 @@ class TestCorrelationForm:
         for _ in range(5):
             b = oracles.random_behavior(chsh_table.scenario, rng)
             correlators = 4 * b.joint - 2 * b.marg_a[:, None] - 2 * b.marg_b[None, :] + 1
-            e_value = float(np.sum(g * correlators)) - float(form.constant)
+            e_value = float(np.sum(g * correlators)) + white_noise_value(chsh_table)
             assert abs(e_value - evaluate(chsh_table, b)) < 1e-12
 
     @pytest.mark.parametrize("na,nb", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4)])
@@ -299,10 +298,10 @@ class TestCorrelationForm:
             built = CgTable(t.scenario, 4 * g, -2 * g.sum(axis=1), -2 * g.sum(axis=0), 0)
             built = apply_relabeling(built, random_relabeling(built.scenario, rng))
             for table in (t, built):
-                form, found = correlation_form(table), oracles.correlation_form_search(table)
-                assert (form is None) is (found is None)
+                g, found = correlation_form(table), oracles.correlation_form_search(table)
+                assert (g is None) is (found is None)
                 if found is not None:
-                    assert (form.g, form.constant) == found[:2]
+                    assert (g, -white_noise_value(table)) == found[:2]
                     assert found[2] == Relabeling(
                         tuple(range(na)), tuple(range(nb)), (0,) * na, (0,) * nb
                     )
