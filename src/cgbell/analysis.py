@@ -6,6 +6,12 @@ the maximally entangled state, symmetric detection efficiency, facet flag,
 correlation-form flag and lifting origin.  Whether the see-saws converged
 is kept on the report but not rendered.
 
+A lifted row is analysed as its reduced table (localpoly.detect_lifting):
+settings whose coefficients are all zero change none of the reported
+numbers, and zero-lifting keeps facet status (Pironio, J. Math. Phys. 46,
+062112 (2005)), so no stage pays for them.  The report keeps the input's
+name and scenario.
+
 The theta = pi/4 see-saw runs only when it could matter: when the spectral
 bound of quantum._pi4_cannot_violate shows that no value it could return
 lies above L + margin (quantum._margin: 1e-9 plus the reach of rounding,
@@ -113,26 +119,30 @@ def analyze_table(
 ) -> AnalysisReport:
     """Run the full pipeline on one inequality.
 
-    The two optimizations (free theta, theta = pi/4) get seeds derived from
+    Every stage runs on detect_lifting(table) when the table is lifted, so a
+    lift reports the numbers of the table it lifts at the same index and
+    seed; only scenario and lifted_from tell them apart.  The two
+    optimizations (free theta, theta = pi/4) get seeds derived from
     (seed, index), so rows are reproducible independently of batch order.
     The pi/4 one is skipped when a spectral bound proves it cannot find a
     violation.  A free-theta value below L - margin raises ValueError.
     """
-    bound = local_bound(table)
-    noise = white_noise_value(table)
-    facet = facet_check(table)
     lift = detect_lifting(table)
-    corr = correlation_form(table)
-    free = quantum_bound(table, restarts=restarts, seed=_derived_seed(seed, index, 0))
-    margin = _margin(table)
+    reduced = lift or table
+    bound = local_bound(reduced)
+    noise = white_noise_value(reduced)
+    facet = facet_check(reduced)
+    corr = correlation_form(reduced)
+    free = quantum_bound(reduced, restarts=restarts, seed=_derived_seed(seed, index, 0))
+    margin = _margin(reduced)
     if free.value < bound - margin:
         raise ValueError(f"row {index}: quantum value {free.value} below local bound {bound}")
-    if _pi4_cannot_violate(table, bound + margin):
+    if _pi4_cannot_violate(reduced, bound + margin):
         # every value the pi/4 see-saw could return gives lambda_me = eta_sym = 1, as L does
         q_me, converged = bound, free.converged
     else:
         fixed = quantum_bound(
-            table,
+            reduced,
             fix_theta=QUARTER_PI,
             restarts=restarts,
             seed=_derived_seed(seed, index, 1),
@@ -146,9 +156,9 @@ def analyze_table(
         noise=noise,
         quantum=free.value,
         theta_over_pi=free.strategy.theta / math.pi,
-        lam=noise_resistance(table, free.value),
-        lam_me=noise_resistance(table, q_me),
-        eta_sym=detection_threshold(table, q_me).eta,
+        lam=noise_resistance(reduced, free.value),
+        lam_me=noise_resistance(reduced, q_me),
+        eta_sym=detection_threshold(reduced, q_me).eta,
         is_facet=facet.is_facet,
         has_correlation_form=corr is not None,
         lifted_from=str(lift.scenario) if lift else None,

@@ -38,7 +38,7 @@ from cgbell.cli import main
 from cgbell.quantum import QUARTER_PI, _margin
 
 from oracles import apply_relabeling, random_relabeling
-from test_localpoly import embed
+from test_localpoly import embed, random_embedding
 
 
 def cli(*argv: str) -> tuple[int, str, str]:
@@ -200,6 +200,17 @@ def test_report_invariant_under_relabeling(name, seed):
     assert abs(moved.lam_me - base.lam_me) <= tol["lambda_me"]
     assert abs(moved.eta_sym - base.eta_sym) <= tol["eta_sym"]
     assert (moved.is_facet, moved.has_correlation_form) == (base.is_facet, base.has_correlation_form)
+
+
+@pytest.mark.parametrize("k", range(5), ids=[t.name for t in all_fixtures()])
+def test_a_zero_lift_reports_its_base_numbers_bit_for_bit(k):
+    # every stage runs on the reduced table, which equals the base, and the
+    # see-saws draw from the same (seed, index) streams
+    base = all_fixtures()[k]
+    lift = random_embedding(base, np.random.default_rng(k), 8, 8)
+    got, want = analyze_table(lift, index=4, seed=9), analyze_table(base, index=4, seed=9)
+    assert (got.scenario, got.lifted_from) == (Scenario(8, 8), str(base.scenario))
+    assert dataclasses.replace(got, scenario=base.scenario, lifted_from=None) == want
 
 
 def test_markdown_escapes_a_pipe_in_a_name(reports):

@@ -35,6 +35,13 @@ def embed(table, scenario, rows, cols):
     return CgTable(scenario, d, c, e, table.bound, table.name)
 
 
+def random_embedding(table, rng, na, nb):
+    """Zero-lift a table into na x nb, its settings kept in order at seeded positions."""
+    rows = np.sort(rng.choice(na, table.scenario.na, replace=False))
+    cols = np.sort(rng.choice(nb, table.scenario.nb, replace=False))
+    return embed(table, Scenario(na, nb), rows, cols)
+
+
 def random_table(rng, na, nb, lo=-3, hi=3):
     return CgTable(
         Scenario(na, nb),
@@ -221,6 +228,27 @@ class TestLifting:
         assert result is not None
         assert result == t
         assert local_bound(lifted) == local_bound(t)
+
+    def test_zero_lifts_keep_validity_and_facet_status(self, fixtures):
+        # analyze_table reports facet_check of the reduced table; facet_check
+        # of the full table is the oracle
+        rng = np.random.default_rng(2005)
+        positivity = CgTable(Scenario(2, 2), [[-1, 0], [0, 0]], [0, 0], [0, 0], 0)
+        tables = [*fixtures, positivity]
+        for _ in range(300):
+            t = random_table(rng, *rng.integers(1, 4, size=2).tolist(), lo=-1, hi=1)
+            # a quarter of the bounds one below the local bound, so invalid
+            bound = local_bound(t) - int(rng.random() < 0.25)
+            tables.append(CgTable(t.scenario, t.d, t.c, t.e, bound))
+        seen = set()
+        for t in tables:
+            na = int(rng.integers(t.scenario.na, 9))
+            nb = int(rng.integers(t.scenario.nb + (na == t.scenario.na), 9))
+            lift = random_embedding(t, rng, na, nb)
+            full, reduced = facet_check(lift), facet_check(detect_lifting(lift))
+            assert (reduced.is_valid, reduced.is_facet) == (full.is_valid, full.is_facet), lift
+            seen.add((full.is_valid, full.is_facet))
+        assert seen == {(False, False), (True, False), (True, True)}
 
     def test_zero_table_keeps_one_setting(self):
         t = CgTable(Scenario(2, 2), np.zeros((2, 2), int), [0, 0], [0, 0], 0)
