@@ -12,11 +12,20 @@ numbers, and zero-lifting keeps facet status (Pironio, J. Math. Phys. 46,
 062112 (2005)), so no stage pays for them.  The report keeps the input's
 name and scenario.
 
-The theta = pi/4 see-saw runs only when it could matter: when the spectral
-bound of quantum._pi4_cannot_violate shows that no value it could return
-lies above L + margin (quantum._margin: 1e-9 plus the reach of rounding,
-which grows with the functional), lambda_me and eta_sym are 1 whatever it
-returns, and L stands in for its value.
+q_me, the pi/4 value behind lambda_me and eta_sym, comes from the cheapest
+proof that holds (the dual points of quantum's module docstring):
+- when the uniform dual point of quantum._pi4_cannot_violate shows that no
+  pi/4 value lies above L + margin (quantum._margin: 1e-9 plus the reach of
+  rounding, which grows with the functional), lambda_me and eta_sym are 1
+  whatever q_me is, and L stands in for it;
+- else, when the gradient dual point of quantum._pi4_certified_value
+  certifies the free-theta see-saw's own vectors at theta = pi/4, their
+  value is q_me: no pi/4 strategy exceeds it by more than the margin;
+- else the theta = pi/4 see-saw runs, and its value is q_me.  It goes
+  through the same certificate, which a see-saw stopped short of the
+  maximum fails.
+Whether q_me was certified is kept on the report, like `converged`, but
+not rendered.
 
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
@@ -40,7 +49,13 @@ import numpy as np
 
 from .localpoly import detect_lifting, facet_check, local_bound, white_noise_value
 from .model import CgTable, Scenario
-from .quantum import QUARTER_PI, _margin, _pi4_cannot_violate, quantum_bound
+from .quantum import (
+    QUARTER_PI,
+    _margin,
+    _pi4_cannot_violate,
+    _pi4_certified_value,
+    quantum_bound,
+)
 from .robustness import detection_threshold, noise_resistance
 from .symmetry import canonical_form, correlation_form
 
@@ -95,8 +110,11 @@ class AnalysisReport:
     has_correlation_form: bool
     lifted_from: Optional[str]
     # the free-theta see-saw, and the pi/4 one when it ran, ended at a
-    # certified local maximum
+    # certified local maximum (a gradient and Hessian test, not a global one)
     converged: bool
+    # a dual point proves that no pi/4 strategy exceeds the q_me behind
+    # lam_me and eta_sym by more than the margin (quantum._pi4_dual_holds)
+    q_me_certified: bool
 
     def validate(self) -> None:
         finite = [self.quantum, self.theta_over_pi, self.lam, self.lam_me, self.eta_sym]
@@ -124,8 +142,10 @@ def analyze_table(
     seed; only scenario and lifted_from tell them apart.  The two
     optimizations (free theta, theta = pi/4) get seeds derived from
     (seed, index), so rows are reproducible independently of batch order.
-    The pi/4 one is skipped when a spectral bound proves it cannot find a
-    violation.  A free-theta value below L - margin raises ValueError.
+    The pi/4 one runs only when neither dual point of the module docstring
+    holds: the uniform one, which proves that no pi/4 value violates, nor
+    the gradient one at the free-theta vectors, which certifies their pi/4
+    value as q_me.  A free-theta value below L - margin raises ValueError.
     """
     lift = detect_lifting(table)
     reduced = lift or table
@@ -137,17 +157,21 @@ def analyze_table(
     margin = _margin(reduced)
     if free.value < bound - margin:
         raise ValueError(f"row {index}: quantum value {free.value} below local bound {bound}")
-    if _pi4_cannot_violate(reduced, bound + margin):
-        # every value the pi/4 see-saw could return gives lambda_me = eta_sym = 1, as L does
-        q_me, converged = bound, free.converged
-    else:
+    # under the uniform point every pi/4 value gives lambda_me = eta_sym = 1, as L does
+    q_me, converged = bound, free.converged
+    certified = _pi4_cannot_violate(reduced, bound + margin)
+    if not certified:
+        q_me = _pi4_certified_value(reduced, free.strategy)
+        certified = q_me is not None
+    if not certified:
         fixed = quantum_bound(
             reduced,
             fix_theta=QUARTER_PI,
             restarts=restarts,
             seed=_derived_seed(seed, index, 1),
         )
-        q_me, converged = fixed.value, free.converged and fixed.converged
+        q_me, converged = fixed.value, converged and fixed.converged
+        certified = _pi4_certified_value(reduced, fixed.strategy) is not None
     report = AnalysisReport(
         index=index,
         name=table.name,
@@ -163,6 +187,7 @@ def analyze_table(
         has_correlation_form=corr is not None,
         lifted_from=str(lift.scenario) if lift else None,
         converged=converged,
+        q_me_certified=certified,
     )
     report.validate()
     return report

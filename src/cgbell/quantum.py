@@ -32,15 +32,22 @@ TOL * scale and the Hessian negative semidefinite up to 1e-9 * scale, which
 leaves room for the gauge's zero modes.
 
 At theta = pi/4 the marginal terms vanish and the functional is a pure
-correlator, k0 + sum_xy w[x, y] a[x] . (R b[y]) with R = diag(1, -1, 1),
-so a Tsirelson-type bound applies (Tsirelson, Lett. Math. Phys. 4, 93
-(1980)): by Cauchy-Schwarz over the three components the value is at most
-k0 + |w|_2 sqrt(na' nb'), with na' and nb' the settings whose row or column
-of w is nonzero.  _pi4_cannot_violate checks that this bound plus a
-rounding margin of _ROUNDING * scale stays at or below a given value, so
-that no pi/4 see-saw can return more; analyze_table gives it L + _margin,
-the one margin by which every stage tells a value above L (MARGIN plus
-that same rounding), and skips the pi/4 see-saw when it holds.
+correlator, k0 + sum_xy w[x, y] a[x] . (R b[y]) with R = diag(1, -1, 1).
+Its maximum over unit vectors of any dimension is a semidefinite program
+over the elliptope (Tsirelson, Lett. Math. Phys. 4, 93 (1980)), and every
+dual point bounds it: when Diag(mu) - [[0, w/2], [w^T/2, 0]] is positive
+definite, no pi/4 strategy of any dimension exceeds k0 + sum(mu).
+_pi4_dual_holds tests that by one Cholesky factor, at two points.
+_pi4_cannot_violate takes the point that is uniform per party over the
+settings w uses, which holds just when k0 + |w|_2 sqrt(na' nb') stays
+below a given value less a rounding margin of _ROUNDING * scale;
+analyze_table gives it L + _margin, the one margin by which every stage
+tells a value above L (MARGIN plus that same rounding), and then needs no
+pi/4 value.  _pi4_certified_value takes the gradient point of a strategy's
+vectors, mu = |block gradient|/2 at theta = pi/4 (the multipliers of the
+unit-norm constraints, exact at a maximum), raised evenly until k0 +
+sum(mu) is the vectors' pi/4 value v plus _margin: when it holds, v is the
+global pi/4 maximum to within the margin, and no pi/4 see-saw is needed.
 """
 
 from __future__ import annotations
@@ -226,7 +233,8 @@ def _newton_model(w, ua, ub, a, b, theta, free_theta):
 
 
 def _negative_definite(m, diag, mu):
-    """Whether mu I - H has a Cholesky factor (H < mu I); m = -H becomes mu I - H in place."""
+    """Whether mu I - H has a Cholesky factor (H < mu I), mu a number or one
+    per row; m = -H, whose diagonal is diag, becomes mu I - H in place."""
     m.flat[:: len(m) + 1] = mu - diag
     try:
         np.linalg.cholesky(m)
@@ -235,28 +243,66 @@ def _negative_definite(m, diag, mu):
     return True
 
 
+def _pi4_dual_holds(w, mu) -> bool:
+    """Whether Diag(mu) - [[0, w/2], [w^T/2, 0]] is positive definite, mu
+    holding a weight for each row of w, then for each column.  Then no
+    strategy at theta = pi/4, of any dimension, has a value above
+    k0 + sum(mu): that value is k0 + <C, G> for the off-diagonal C and the
+    Gram matrix G of unit vectors a[x] and R b[y], and <C, G> <= <Diag(mu), G>
+    = sum(mu) as G is positive semidefinite with unit diagonal.  The test is
+    one Cholesky factor of [[Diag(mu_a), w/2], [w^T/2, Diag(mu_b)]]; negating
+    Bob's rows and columns turns it into Diag(mu) - [[0, w/2], [w^T/2, 0]],
+    so the two are positive definite together.
+    """
+    na = len(w)
+    m = np.zeros((len(mu),) * 2)
+    m[:na, na:], m[na:, :na] = w / 2, w.T / 2
+    return _negative_definite(m, 0.0, mu)
+
+
 def _pi4_cannot_violate(table: CgTable, bound) -> bool:
     """Whether no strategy at theta = pi/4 has a value above bound - rounding,
     so that no pi/4 see-saw can return a value above bound.
 
-    At pi/4 the value is k0 + sum_xy w[x, y] a[x] . (R b[y]), R = diag(1, -1, 1),
-    at most k0 + |w|_2 sqrt(na' nb') with na', nb' the settings whose row or
-    column of w is nonzero.  |w|_2 < s is tested as a Cholesky factor of
-    [[s I, w], [w^T, s I]], positive definite exactly then (its eigenvalues
-    are s +- the singular values of w, and s), with
-    s = (bound - k0 - _ROUNDING * scale) / sqrt(na' nb'); an s <= 0 fails the
-    factorisation.  Unlike s^2 I - w^T w it needs no matrix product, which
-    would page in another BLAS routine.
+    The dual point is slack/(2 na') on each of the na' rows of w that are
+    nonzero and slack/(2 nb') on each of the nb' nonzero columns, with
+    slack = bound - k0 - _ROUNDING * scale; settings of zero weight add
+    nothing to any value, so the point leaves them out.  It holds just when
+    slack > |w|_2 sqrt(na' nb'), the best uniform point per party: the
+    minimum of na' alpha + nb' beta over alpha beta > |w|_2^2 / 4.
     """
     w, _, _, k0 = _correlators(table)
     slack = bound - k0 - _ROUNDING * _scale(table)
-    used = np.count_nonzero(w.any(axis=1)) * np.count_nonzero(w.any(axis=0))
-    if used == 0:
+    rows, cols = w.any(axis=1), w.any(axis=0)
+    w = w[rows][:, cols]
+    na, nb = w.shape
+    if not w.size:
         return slack >= 0  # w = 0: every value is k0
-    na = len(w)
-    m = np.zeros((na + w.shape[1],) * 2)
-    m[:na, na:], m[na:, :na] = w, w.T
-    return _negative_definite(m, 0.0, slack / math.sqrt(used))
+    return _pi4_dual_holds(w, np.repeat([slack / (2 * na), slack / (2 * nb)], [na, nb]))
+
+
+def _pi4_certified_value(table: CgTable, strategy: QuantumStrategy) -> Optional[float]:
+    """The value v of the strategy's vectors at theta = pi/4, when a dual point
+    proves that no pi/4 strategy of any dimension exceeds v + _margin; None
+    when that point fails.
+
+    The point is the gradient one: mu[x] = |r[x]|/2 with r[x] = sum_y w[x, y]
+    R b[y], and mu[y] = |sum_x w[x, y] a[x]|/2, over the settings w uses,
+    each raised by the same amount so that k0 + sum(mu) = v + _margin.  At a
+    block maximum sum(mu) = v - k0, so each weight rises by about the
+    margin over the settings' number; a strategy far from the pi/4 maximum,
+    or with a value below k0, leaves the matrix indefinite.
+    """
+    w, _, _, k0 = _correlators(table)
+    rows, cols = w.any(axis=1), w.any(axis=0)
+    w, a, rb = w[rows][:, cols], strategy.a_vecs[rows], strategy.b_vecs[cols] * (1, -1, 1)
+    r = w @ rb
+    value = k0 + np.vdot(a, r)
+    mu = np.concatenate((np.linalg.norm(r, axis=1), np.linalg.norm(w.T @ a, axis=1))) / 2
+    if not mu.size:
+        return float(value)  # w = 0: every value is k0
+    mu += (value + _margin(table) - k0 - mu.sum()) / len(mu)
+    return float(value) if _pi4_dual_holds(w, mu) else None
 
 
 def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, scale):

@@ -57,11 +57,15 @@ class NoClickAssignment:
 def noise_resistance(table: CgTable, q: float) -> float:
     """Visibility threshold lambda below which white-noise mixing kills the violation.
 
-    ``q`` should come from quantum_bound: free theta for the optimal-state
-    threshold, theta = pi/4 for the maximally entangled one.  Returns 1.0
-    when there is no violation, q <= L + margin (quantum._margin), so q may
-    be L itself when a bound already proves that no quantum value exceeds
-    L + margin.  A q below N - margin raises InconsistencyError.
+    ``q`` should be a quantum value: quantum_bound's free-theta one for the
+    optimal-state threshold, and q_me, the theta = pi/4 one, for the
+    maximally entangled threshold.  analyze_table takes q_me from the
+    free-theta vectors when quantum._pi4_certified_value certifies their
+    pi/4 value, and from quantum_bound with fix_theta = pi/4 otherwise.
+    Returns 1.0 when there is no violation, q <= L + margin
+    (quantum._margin), so q may be L itself when a bound already proves
+    that no quantum value exceeds L + margin.  A q below N - margin raises
+    InconsistencyError.
     """
     bound = local_bound(table)
     noise = white_noise_value(table)
@@ -108,8 +112,10 @@ def _threshold_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     """Minimal symmetric detector efficiency preserving a violation.
 
-    ``q_me`` must be the quantum value for the maximally entangled state
-    (quantum_bound with fix_theta = pi/4); only then are M_A, M_B, X
+    ``q_me`` must be a quantum value of the maximally entangled state,
+    theta = pi/4: quantum_bound's with fix_theta = pi/4, or the pi/4 value
+    of any vectors, such as the free-theta see-saw's, that
+    quantum._pi4_certified_value certifies.  Only at pi/4 are M_A, M_B, X
     measurement independent and the decoupled quadratic exact.  All
     2^(na+nb) per-setting no-click assignments are solved and the smallest
     threshold returned.  Ties go to the lexicographically smallest

@@ -176,6 +176,45 @@ def pi4_correlator_bound(table: CgTable) -> float:
     return float(k0 + sigma * math.sqrt(rows * cols))
 
 
+def pi4_elliptope_value(table: CgTable, starts: int = 4, sweeps: int = 20000) -> float:
+    """The maximum of the functional over all strategies at theta = pi/4, of
+    any dimension, by block ascent: a value that unit vectors attain.
+
+    There the value is k0 + sum_xy d[x, y]/4 u[x] . v[y] over unit vectors
+    u[x] = a[x] and v[y] = R b[y] (see pi4_correlator_bound), the elliptope
+    program of Tsirelson.  The ascent sets all of u to the unit direction of
+    d/4 @ v, then all of v to that of d.T/4 @ u, in R^(na+nb), a rank at
+    which the Burer-Monteiro form of the program generically has no local
+    maximum but the global one (Boumal, Voroninski and Bandeira, NeurIPS
+    2016), from ``starts`` seeded random points, until a sweep gains less
+    than 1e-15 or after ``sweeps`` sweeps.  A setting of zero weight keeps
+    its vector.
+    """
+    d = np.asarray(table.d, dtype=float) / 4
+    k0 = d.sum() + (np.sum(table.c) + np.sum(table.e)) / 2
+    na, nb = d.shape
+
+    def towards(old, r):
+        norms = np.linalg.norm(r, axis=1, keepdims=True)
+        return np.where(norms > 0, r / np.where(norms > 0, norms, 1.0), old)
+
+    rng = np.random.default_rng(0)
+    best = -math.inf
+    for _ in range(starts):
+        u, v = (rng.normal(size=(n, na + nb)) for n in (na, nb))
+        u, v = towards(u, u), towards(v, v)
+        value = -math.inf
+        for _ in range(sweeps):
+            u = towards(u, d @ v)
+            v = towards(v, d.T @ u)
+            reached = float(np.sum(u * (d @ v)))
+            gained, value = reached - value, reached
+            if gained < 1e-15:
+                break
+        best = max(best, value)
+    return float(k0 + best)
+
+
 def local_bound_bruteforce(table: CgTable) -> float:
     """Maximum over explicitly constructed deterministic behaviors."""
     na, nb = table.scenario.na, table.scenario.nb

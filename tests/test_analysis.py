@@ -251,25 +251,45 @@ CERTIFIED = {
 }
 
 
+def dual_points_off(monkeypatch):
+    """analyze_table with neither pi/4 dual point holding: the uniform one of
+    _pi4_cannot_violate, nor the gradient one of _pi4_certified_value."""
+    monkeypatch.setattr(analysis, "_pi4_cannot_violate", lambda table, bound: False)
+    monkeypatch.setattr(analysis, "_pi4_certified_value", lambda table, strategy: None)
+
+
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_a_certified_table_runs_the_free_seesaw_only(monkeypatch, name):
     table = CERTIFIED[name]
     table = CgTable(table.scenario, table.d, table.c, table.e, local_bound(table), name)
     calls = counted_seesaws(monkeypatch)
     report = analyze_table(table)
-    assert calls == [None]
+    assert calls == [None] and report.q_me_certified
     calls.clear()
-    monkeypatch.setattr(analysis, "_pi4_cannot_violate", lambda table, bound: False)
-    assert analyze_table(table) == report
+    dual_points_off(monkeypatch)
+    assert analyze_table(table) == dataclasses.replace(report, q_me_certified=False)
     assert calls == [None, QUARTER_PI]
 
 
-def test_fixtures_run_both_seesaws(monkeypatch):
+# the fixtures whose free-theta see-saw ends off pi/4, so that its vectors
+# certify no q_me and the pi/4 see-saw runs
+OFF_PI4 = ("I3422_1", "I3422_2")
+
+
+def test_fixtures_run_the_pi4_seesaw_only_without_a_certificate(monkeypatch):
     calls = counted_seesaws(monkeypatch)
+    reports = []
     for table in all_fixtures():
         calls.clear()
-        analyze_table(table)
-        assert calls == [None, QUARTER_PI]
+        reports.append(analyze_table(table))
+        assert calls == ([None, QUARTER_PI] if table.name in OFF_PI4 else [None]), table.name
+        assert reports[-1].q_me_certified, table.name
+    calls.clear()
+    dual_points_off(monkeypatch)
+    uncertified = [analyze_table(table) for table in all_fixtures()]
+    assert calls == [None, QUARTER_PI] * len(reports)
+    assert not any(r.q_me_certified for r in uncertified)
+    assert to_csv(uncertified) == to_csv(reports)
 
 
 def test_validate_names_the_row_and_the_column(reports):

@@ -29,6 +29,7 @@ from cgbell.quantum import (
     _margin,
     _newton_model,
     _pi4_cannot_violate,
+    _pi4_certified_value,
     _product,
     _random_units,
     _theta_step,
@@ -44,7 +45,8 @@ from oracles import (
     quantum_value,
     random_relabeling,
 )
-from test_localpoly import embed, random_table
+from test_localpoly import embed, random_embedding, random_table
+from test_robustness import direct_sum
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -758,3 +760,94 @@ class TestPi4Certificate:
                     assert value <= bound
         # every table at the SVD bound, and most random ones and the positivity lift at L
         assert certified >= len(tables) + 10
+
+
+def violating_population(rng, draws):
+    """Seeded violating tables up to 8x8: one fixture or the direct sum of
+    two, zero-lifted to a random size, 1-5 entries of d moved by -2..2,
+    relabeled and set to their local bound; the draws whose free-theta
+    see-saw passes L + margin."""
+    fixtures = all_fixtures()
+    for _ in range(draws):
+        parts = rng.choice(len(fixtures), size=rng.integers(1, 3), replace=False)
+        t = direct_sum(*(fixtures[k] for k in parts))
+        na, nb = (int(rng.integers(n, 9)) for n in (t.scenario.na, t.scenario.nb))
+        t = random_embedding(t, rng, na, nb)
+        d = t.d.copy()
+        for _ in range(rng.integers(1, 6)):
+            d[rng.integers(len(d)), rng.integers(d.shape[1])] += rng.integers(-2, 3)
+        t = CgTable(t.scenario, d, t.c, t.e, 0)
+        t = apply_relabeling(t, random_relabeling(t.scenario, rng))
+        t = CgTable(t.scenario, t.d, t.c, t.e, local_bound(t))
+        if quantum_bound(t, seed=1).value > t.bound + _margin(t):
+            yield t
+
+
+class TestPi4GradientCertificate:
+    """_pi4_certified_value against the elliptope value of the oracle, block
+    ascent in R^(na+nb) with no rank limit."""
+
+    def test_a_certified_value_is_the_elliptope_maximum(self, fixtures):
+        rng = np.random.default_rng(5)
+        tables = [*fixtures, *(random_embedding(t, rng, 8, 8) for t in fixtures)]
+        tables.append(direct_sum(chsh(), chsh(), fixtures[2]))
+        tables += violating_population(rng, 60)
+        certified = 0
+        for t in tables:
+            elliptope, margin = oracles.pi4_elliptope_value(t), _margin(t)
+            for fix_theta in (None, QUARTER_PI):
+                value = _pi4_certified_value(t, quantum_bound(t, fix_theta=fix_theta).strategy)
+                if value is not None:
+                    certified += 1
+                    # no pi/4 strategy passes the certified value, and rank 3 reaches it
+                    assert value - 1e-12 <= elliptope <= value + margin, (t.name, fix_theta)
+        # most pi/4 see-saws certify, and the free-theta ones that end at pi/4
+        assert len(tables) >= 30 and certified >= len(tables) + 10
+
+    @pytest.mark.parametrize("name", ["I3422_1", "I3422_2"])
+    def test_no_certificate_from_free_vectors_off_pi4(self, fixtures, name):
+        (t,) = [t for t in fixtures if t.name == name]
+        r = quantum_bound(t)
+        assert r.strategy.theta < QUARTER_PI - 0.05
+        assert _pi4_certified_value(t, r.strategy) is None
+
+    def test_no_certificate_from_a_truncated_run(self, fixtures, monkeypatch):
+        # one sweep and no Newton step: the run ends short of a maximum
+        cap_work(monkeypatch, 1)
+        truncated = 0
+        for t in fixtures:
+            for seed in range(4):
+                for fix_theta in (None, QUARTER_PI):
+                    r = quantum_bound(t, fix_theta=fix_theta, restarts=1, seed=seed)
+                    if not r.converged:
+                        truncated += 1
+                        assert _pi4_certified_value(t, r.strategy) is None, (t.name, seed)
+        # all but CHSH at pi/4, whose see-saw reaches its maximum in one sweep
+        assert truncated == 36
+
+    def test_no_certificate_just_below_the_maximum(self, fixtures, rng):
+        # vectors moved by about 1e-4 from a pi/4 maximum lose about 1e-8,
+        # more than the margin, and a certificate for them would be false
+        for t in fixtures:
+            s = quantum_bound(t, fix_theta=QUARTER_PI).strategy
+            best = _pi4_certified_value(t, s)
+            moved = [v + 1e-4 * rng.normal(size=v.shape) for v in (s.a_vecs, s.b_vecs)]
+            moved = QuantumStrategy(s.theta, *(v / np.linalg.norm(v, axis=1, keepdims=True) for v in moved))
+            assert best - kernel_value(t, moved) > 2 * _margin(t), t.name
+            assert _pi4_certified_value(t, moved) is None, t.name
+
+    def test_no_certificate_below_k0(self, fixtures):
+        # negating Bob's vectors negates every term but k0, and some pi/4
+        # value is at least k0, so a value below it is no maximum
+        for t in fixtures:
+            s = quantum_bound(t, fix_theta=QUARTER_PI).strategy
+            k0 = _correlators(t)[3]
+            assert _pi4_certified_value(t, s) > k0 + 0.1
+            flipped = QuantumStrategy(s.theta, s.a_vecs, -s.b_vecs)
+            assert kernel_value(t, flipped) < k0 - 0.1
+            assert _pi4_certified_value(t, flipped) is None
+
+    def test_w_zero_certifies_k0(self):
+        t = CgTable(Scenario(3, 2), np.zeros((3, 2), int), [1, 0, -2], [0, 3], 0)
+        s = quantum_bound(t, fix_theta=QUARTER_PI).strategy
+        assert _pi4_certified_value(t, s) == _correlators(t)[3] == 1.0
