@@ -105,8 +105,9 @@ def _gram(scenario: Scenario, saturating: np.ndarray) -> np.ndarray:
     return g.astype(np.int64)
 
 
-def _rank_mod_p(m: np.ndarray, p: int) -> int:
-    """Rank over F_p of a nonnegative int64 matrix, by row reduction."""
+def _rank_mod_p(m: np.ndarray, p: int, upper: int) -> int:
+    """Rank over F_p of a nonnegative int64 matrix, by row reduction, which
+    stops once the rank reaches upper, a bound on it."""
     m = m % p
     rank = 0
     for col in range(m.shape[1]):
@@ -121,21 +122,21 @@ def _rank_mod_p(m: np.ndarray, p: int) -> int:
         factors = m[rank + 1 :, col].copy()
         m[rank + 1 :, col:] = (m[rank + 1 :, col:] - factors[:, None] * m[rank, col:]) % p
         rank += 1
-        if rank == m.shape[0]:
+        if rank == upper:
             break
     return rank
 
 
 def _rational_rank(gram: np.ndarray, upper: int) -> int:
     """Rank over Q of a Gram matrix of rank <= upper, certified as in the module docstring."""
-    rank = _rank_mod_p(gram, _PRIMES[0])
+    rank = _rank_mod_p(gram, _PRIMES[0], upper)
     if rank < upper:
         # the diagonal of G holds vertex counts, so the positive entries are the nonzero ones
         hadamard = math.prod(sorted(filter(None, np.diagonal(gram).tolist()))[-upper:])
         for k in range(1, len(_PRIMES)):
             if rank == upper or math.prod(_PRIMES[:k]) > hadamard:
                 break
-            rank = max(rank, _rank_mod_p(gram, _PRIMES[k]))
+            rank = max(rank, _rank_mod_p(gram, _PRIMES[k], upper))
     return rank
 
 

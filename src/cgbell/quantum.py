@@ -15,10 +15,18 @@ The Bell functional is linear in each measurement vector separately and a
 shifted cosine in theta, so see-saw sweeps (all of Alice, all of Bob, then
 theta; Werner and Wolf, QIC 1 (2001)) are exact block maximizations and the
 value never decreases.
-One batched sweep steps all restarts in lockstep.  Each party's vectors
-form one (n, 3, R) array, restarts last and contiguous, so a half step is
-one 2-D matrix product and the other calls run over rows of R values, not
-over strided rows of 3 where call overhead would set the cost.
+One batched sweep steps all restarts in lockstep, and its cost is set by
+the number of numpy calls, not by flops.  Each party's vectors form one
+(n + 1, 3, R) array, restarts last and contiguous, whose last row is
+(0, 0, cos 2t) for each restart.  With M = [[w, ua], [ub^T, 0]] and
+D = diag(sin 2t, -sin 2t, 1) the functional is k0 + sum_xy a[x] . D M[x, y]
+b[y] over those rows, so the block gradients of Alice's vectors, marginals
+included, are D (M @ b) without its last row, one 2-D matrix product and
+one multiply, and Bob's are D (M^T @ a) likewise.  Theta is carried as
+(cos 2t, sin 2t), and its step is the point of the quarter circle where
+k1 cos 2t + k2 sin 2t is largest (_theta_step), so no sweep calls a
+trigonometric function; theta = atan2(sin 2t, cos 2t)/2 is formed once,
+for the restart that is polished.
 
 quantum_bound works in two phases.  The sweeps, at most SWEEP_CAP of them,
 bring every restart near a local maximum; they stop once each restart has
@@ -121,81 +129,97 @@ def _margin(table: CgTable) -> float:
     return MARGIN + _ROUNDING * _scale(table)
 
 
-def _trig(theta, out=None):
-    """The rows (sin 2t, -sin 2t, 1, cos 2t) of theta, (R,) or a float, into out if given."""
-    two, out = 2 * theta, np.ones((4,) + np.shape(theta)) if out is None else out
-    np.sin(two, out=out[0, ...])
-    np.negative(out[0], out=out[1, ...])
-    np.cos(two, out=out[3, ...])
-    return out
+def _augmented(w, ua, ub):
+    """M = [[w, ua], [ub^T, 0]], the functional's matrix on the rows (a, c) and
+    (b, c) of a batch (module docstring)."""
+    na, nb = w.shape
+    m = np.zeros((na + 1, nb + 1))
+    m[:na, :nb], m[:na, nb], m[na, :nb] = w, ua, ub
+    return m
 
 
-def _product(w, other):
-    """w @ other for (n, 3, R) vectors, as one 2-D matrix product."""
-    return (w @ other.reshape(len(other), -1)).reshape(len(w), 3, -1)
+def _rows(vecs, c):
+    """A party's (n, 3, ...) vectors with the row (0, 0, c) after them, c =
+    cos 2t a float or one per restart: the (n + 1, 3, ...) rows of a batch."""
+    rows = np.zeros((len(vecs) + 1,) + vecs.shape[1:])
+    rows[:-1], rows[-1, 2] = vecs, c
+    return rows
 
 
-def _block_coefficients(q, u, trig):
-    """Gradient r of the functional in each of one party's vectors, for
-    (n, 3, R) or one restart's (n, 3): q is d/4 @ b and u is ua for Alice,
-    d.T/4 @ a and ub for Bob, and trig is _trig(theta).  The objective is
-    r[x] . v[x] + const, so the exact block maximizer is r[x]/|r[x]|.
-    """
-    r = q * trig[:3]
-    r[:, 2] += np.multiply.outer(u, trig[3])
-    return r
+def _diagonal(s):
+    """The rows (s, -s, 1) of D = diag(s, -s, 1), s = sin 2t, (R,) or a float."""
+    return np.stack((s, -s, np.ones_like(s)))
 
 
-def _ascend(vecs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The block maximizer r/|r|, vector by vector, in place in r when
-    no norm is zero; a vector with zero gradient keeps its old direction."""
-    norms = np.sqrt(np.einsum("xi...,xi...->x...", r, r))[:, None]
+def _product(m, rows):
+    """m @ rows for (n, 3, R) rows, as one 2-D matrix product."""
+    return (m @ rows.reshape(len(rows), -1)).reshape(len(m), 3, -1)
+
+
+def _ascend(vecs, r):
+    """Each of the (n, 3, R) vecs set in place to its block maximizer r/|r|;
+    a vector with zero gradient keeps its old direction."""
+    norms = np.sqrt((r * r).sum(axis=1, keepdims=True))
     if np.count_nonzero(norms) == norms.size:
-        return np.divide(r, norms, out=r)
-    return np.divide(r, norms, out=vecs.copy(), where=norms > 0)
+        return np.divide(r, norms, out=vecs)
+    return np.divide(r, norms, out=vecs, where=norms > 0)
 
 
-def _theta_coefficients(ua, ub, a, b, q):
-    """(k1, k2, zz), with the functional at vectors a and b equal to
-    k0 + zz + k1 cos(2t) + k2 sin(2t), from Bob's product q = d.T/4 @ a."""
-    s = np.einsum("yi...,yi...->i...", q, b)  # sum_xy a[x, i] w[x, y] b[y, i]
-    return ua @ a[:, 2] + ub @ b[:, 2], s[0] - s[1], s[2]
-
-
-def _value_at(k0, coefficients, trig):
-    k1, k2, zz = coefficients
-    return k0 + zz + k1 * trig[3] + k2 * trig[0]
+def _batch_values(m, k0, a, b, d):
+    """The functional at every restart of the rows a (na + 1, 3, R) and
+    b (nb + 1, 3, R), d the rows of D: k0 + sum_x a[x] . (D (M @ b)[x])."""
+    return k0 + np.einsum("xi...,xi...->...", a, _product(m, b) * d)
 
 
 def _theta_step(k1, k2):
-    """The theta in [0, pi/4] maximizing k1 cos(2t) + k2 sin(2t): 2t is the point
-    of [0, pi/2] nearest to atan2(k2, k1) on the circle, so ties go to 0, then pi/4."""
-    phi = np.arctan2(k2, k1)
-    phi[phi < -3 * QUARTER_PI] += 2 * math.pi  # nearer to pi/2 than to 0
-    return np.minimum(np.maximum(phi, 0.0), 2 * QUARTER_PI) / 2
+    """(c, s, top): the point (cos 2t, sin 2t), t in [0, pi/4], where
+    k1 cos 2t + k2 sin 2t is largest, and that largest value, for (R,) arrays.
+
+    On the quarter circle c, s >= 0 the largest value is at (max(k1, 0),
+    max(k2, 0)) over its norm, which is the value, unless k1, k2 <= 0;
+    then the larger endpoint wins, t = 0 on ties.
+    """
+    c, s = np.maximum(k1, 0.0), np.maximum(k2, 0.0)
+    top = np.hypot(c, s)
+    if np.count_nonzero(top) == len(top):
+        return np.divide(c, top, out=c), np.divide(s, top, out=s), top
+    ends = top == 0.0
+    c[ends], s[ends] = k1[ends] >= k2[ends], k1[ends] < k2[ends]
+    top[ends] = 1.0
+    c /= top
+    s /= top
+    top[ends] = np.maximum(k1[ends], k2[ends])
+    return c, s, top
 
 
-def _batch_values(w, ua, ub, k0, a, b, theta):
-    """The functional at every restart: a is (na, 3, R), b is (nb, 3, R), theta is (R,)."""
-    return _value_at(k0, _theta_coefficients(ua, ub, a, b, _product(w.T, a)), _trig(theta))
+def _theta_of(c, s) -> float:
+    """The t in [0, pi/4] of the point (cos 2t, sin 2t) = (c, s), as 0.0 where
+    s is a zero of either sign."""
+    return abs(math.atan2(s, c)) / 2
 
 
-def _batch_sweep(w, ua, ub, k0, a, b, theta, update_theta, trig=None):
-    """One see-saw sweep (all of Alice, all of Bob, then theta) of every
-    restart, a (na, 3, R), b (nb, 3, R), theta (R,), and the values it
-    reaches.  trig, if given, is _trig(theta); a theta step rewrites it."""
-    trig = _trig(theta) if trig is None else trig
-    a = _ascend(a, _block_coefficients(_product(w, b), ua, trig))
-    q = _product(w.T, a)
-    b = _ascend(b, _block_coefficients(q, ub, trig))
-    coefficients = _theta_coefficients(ua, ub, a, b, q)
-    if update_theta:
-        theta = _theta_step(*coefficients[:2])
-        _trig(theta, out=trig)
-    return a, b, theta, _value_at(k0, coefficients, trig)
+def _batch_sweep(m, k0, a, b, d, update_theta):
+    """One see-saw sweep of every restart, in place: all of Alice, all of Bob,
+    then theta when update_theta.  a (na + 1, 3, R) and b (nb + 1, 3, R) are
+    the batch's rows and d the rows of D (module docstring).  Returns the
+    values the sweep reaches."""
+    _ascend(a[:-1], _product(m[:-1], b) * d)
+    q = _product(m.T, a)  # Bob's block products, then ua . a in its last row
+    _ascend(b[:-1], q[:-1] * d)
+    # sum_xy w a_i b_i for i = x, y, and zz + cos(2t) k1 with zz = sum_xy w a_z b_z
+    t = (q * b).sum(axis=0)
+    k2 = t[0] - t[1]
+    if not update_theta:
+        return k0 + t[2] + d[0] * k2
+    k1 = q[-1, 2] + m[-1, :-1] @ b[:-1, 2]  # ua . a_z + ub . b_z
+    zz = t[2] - b[-1, 2] * k1
+    c, s, top = _theta_step(k1, k2)
+    a[-1, 2] = b[-1, 2] = c
+    d[0], d[1] = s, -s
+    return k0 + zz + top
 
 
-def _newton_model(w, ua, ub, a, b, theta, free_theta):
+def _newton_model(m, a, b, theta, free_theta):
     """Gradient g and Hessian H of the functional at one restart, a (na, 3)
     and b (nb, 3), in the coordinates that the polish steps in.
 
@@ -208,25 +232,29 @@ def _newton_model(w, ua, ub, a, b, theta, free_theta):
     vector's normal direction is an exact zero of g and H.
     """
     na, nv = len(a), len(a) + len(b)
-    m, n = 3 * na, 3 * nv
+    na3, n = 3 * na, 3 * nv
     ct, st = math.cos(2 * theta), math.sin(2 * theta)
-    trig = np.array([st, -st, 1.0, ct])  # _trig(theta), by math's scalar functions
-    v, u = np.concatenate((a, b)), np.concatenate((ua, ub))
-    q = np.concatenate((w @ b, w.T @ a))  # both parties' unscaled products
-    r = _block_coefficients(q, u, trig)
+    v, u = np.concatenate((a, b)), np.concatenate((m[:-1, -1], m[-1, :-1]))  # u = (ua, ub)
+    # both parties' block products M @ rows, whose z holds u cos 2t
+    p = np.concatenate((m[:-1] @ _rows(b, ct), m.T[:-1] @ _rows(a, ct)))
+    diagonal = _diagonal(st)
+    r = p * diagonal
     radial = np.einsum("ij,ij->i", r, v)
     proj = np.eye(3) - v[:, :, None] * v[:, None, :]
     g, h = np.empty(n + free_theta), np.zeros((n + free_theta,) * 2)
     # the blocks w[x, y] P_a D P_b from one matrix product
-    cross = (proj[:na] * trig[:3]).reshape(m, 3) @ proj[na:].transpose(1, 0, 2).reshape(3, -1)
-    h[:m, m:n] = (cross.reshape(na, 3, -1, 3) * w[:, None, :, None]).reshape(m, -1)
-    h[m:n, :m] = h[:m, m:n].T
+    cross = (proj[:na] * diagonal).reshape(na3, 3) @ proj[na:].transpose(1, 0, 2).reshape(3, -1)
+    h[:na3, na3:n] = (cross.reshape(na, 3, -1, 3) * m[:-1, None, :-1, None]).reshape(na3, -1)
+    h[na3:n, :na3] = h[:na3, na3:n].T
     np.einsum("iaib->iab", h[:n, :n].reshape(nv, 3, nv, 3))[...] = -radial[:, None, None] * proj
     g[:n] = (r - radial[:, None] * v).ravel()
     if not free_theta:
         return g, h
-    r_theta = _block_coefficients(q, u, np.array([2 * ct, -2 * ct, 0.0, -2 * st]))  # d r/d theta
-    k1, k2, _ = _theta_coefficients(ua, ub, a, b, q[na:])
+    r_theta = p * (2 * ct, -2 * ct, 0.0)  # d r/d theta
+    r_theta[:, 2] = -2 * st * u
+    # the functional is k0 + zz + k1 cos 2t + k2 sin 2t (_batch_sweep)
+    t = np.einsum("yi,yi->i", p[na:], b)
+    k1, k2 = u @ v[:, 2], t[0] - t[1]
     h[n, :n] = h[:n, n] = (r_theta - np.einsum("ij,ij->i", r_theta, v)[:, None] * v).ravel()
     h[n, n], g[n] = -4 * (ct * k1 + st * k2), 2 * (ct * k2 - st * k1)
     return g, h
@@ -305,7 +333,7 @@ def _pi4_certified_value(table: CgTable, strategy: QuantumStrategy) -> Optional[
     return float(value) if _pi4_dual_holds(w, mu) else None
 
 
-def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, scale):
+def _polish(m, k0, a, b, theta, value, free_theta, scale):
     """Damped Newton ascent of one restart from (a, b, theta), which has
     the given value, in at most POLISH_STEPS steps.
 
@@ -321,26 +349,27 @@ def _polish(w, ua, ub, k0, a, b, theta, value, free_theta, scale):
     floor = 1e-9 * scale
     na, n = len(a), 3 * (len(a) + len(b))
     for step in range(POLISH_STEPS + 1):
-        g, h = _newton_model(w, ua, ub, a, b, theta, free_theta)
+        g, h = _newton_model(m, a, b, theta, free_theta)
         if free_theta and (theta <= 0.0 and g[n] <= 0.0 or theta >= QUARTER_PI and g[n] >= 0.0):
             g, h = g[:n], h[:n, :n]  # theta held at its bound
         gnorm = math.sqrt(g @ g)
-        m, diag = -h, h.diagonal()
+        system, diag = -h, h.diagonal()
         if gnorm < TOL * scale:
-            return a, b, theta, value, _negative_definite(m, diag, floor)
+            return a, b, theta, value, _negative_definite(system, diag, floor)
         if step == POLISH_STEPS:
             break
         mu = max(floor, gnorm)
-        while not _negative_definite(m, diag, mu):
+        while not _negative_definite(system, diag, mu):
             mu *= 10
-        delta = np.linalg.solve(m, g)  # m is now mu I - H
+        delta = np.linalg.solve(system, g)  # system is now mu I - H
         # the steps delta, delta/2, ... as a batch, each vector retracted to its sphere
         moved = np.concatenate((a, b))[:, :, None] + delta[:n].reshape(-1, 3, 1) * _HALVINGS
         moved = _ascend(moved, moved)
         thetas = np.full(len(_HALVINGS), theta)
         if len(g) > n:
             thetas = np.minimum(np.maximum(theta + _HALVINGS * delta[n], 0.0), QUARTER_PI)
-        values = _batch_values(w, ua, ub, k0, moved[:na], moved[na:], thetas)
+        c, s = np.cos(2 * thetas), np.sin(2 * thetas)
+        values = _batch_values(m, k0, _rows(moved[:na], c), _rows(moved[na:], c), _diagonal(s))
         rises = values >= value - _ROUNDING * scale
         if not rises.any():
             break
@@ -386,20 +415,22 @@ def quantum_bound(
         theta = rng.uniform(0.0, QUARTER_PI, size=restarts)
     else:
         theta = np.full(restarts, float(fix_theta))
-    f = _correlators(table)
-    scale = _scale(table)
-    values = _batch_values(*f, a, b, theta)
-    trig = _trig(theta)  # carried from sweep to sweep
+    w, ua, ub, k0 = _correlators(table)
+    m = _augmented(w, ua, ub)
+    c = np.cos(2 * theta)
+    a, b, d = _rows(a, c), _rows(b, c), _diagonal(np.sin(2 * theta))
+    values = _batch_values(m, k0, a, b, d)
     done = np.zeros(restarts, dtype=bool)
     for _ in range(SWEEP_CAP):
-        a, b, theta, new_values = _batch_sweep(*f, a, b, theta, update_theta, trig)
+        new_values = _batch_sweep(m, k0, a, b, d, update_theta)
         done |= new_values - values < TOL
         values = new_values
         if done.all():
             break
 
     best = int(np.argmax(values))  # the earliest on ties
+    theta = _theta_of(a[-1, 2, best], d[0, best]) if update_theta else theta[best]
     a, b, theta, value, converged = _polish(
-        *f, a[..., best], b[..., best], theta[best], values[best], update_theta, scale
+        m, k0, a[:-1, :, best], b[:-1, :, best], theta, values[best], update_theta, _scale(table)
     )
     return QuantumBoundResult(float(value), QuantumStrategy(float(theta), a, b), bool(converged))

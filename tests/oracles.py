@@ -7,7 +7,10 @@ point SVD.  Facet checks, no-click values and the white-noise value are the
 earlier per-vertex, per-assignment and per-table Fraction formulas, kept
 here as references for the integer and float64 kernels that replaced them,
 and canonical forms and correlator forms come from the earlier scans over
-the relabeling orbit and the earlier enumeration of row orders.
+the relabeling orbit and the earlier enumeration of row orders.  The
+see-saw sweep, its block gradients and the functional's value at a
+strategy are scalar loops over the correlator expansion, one restart at a
+time, with theta stepped by arctan2 as the earlier batched kernel did.
 
 The package's pipeline never builds a behavior or a group element, so the
 types for them live here: Behavior, with evaluate for the functional's
@@ -103,6 +106,87 @@ def strategy_behavior(scenario: Scenario, s) -> Behavior:
 def quantum_value(table: CgTable, s) -> float:
     """Value of the Bell functional on the behavior of a strategy."""
     return evaluate(table, strategy_behavior(table.scenario, s))
+
+
+def _correlator_lists(table: CgTable):
+    """(w, ua, ub, k0) of the table's functional in +-1 correlators, in Python
+    floats: w = d/4, ua = row sums of d/4 + c/2, ub = column sums of d/4 + e/2
+    and k0 = sum(d)/4 + (sum(c) + sum(e))/2."""
+    d = [[int(v) for v in row] for row in table.d]
+    w = [[v / 4 for v in row] for row in d]
+    ua = [sum(row) / 4 + int(c) / 2 for row, c in zip(d, table.c)]
+    ub = [sum(col) / 4 + int(e) / 2 for col, e in zip(zip(*d), table.e)]
+    k0 = sum(map(sum, d)) / 4 + (sum(map(int, table.c)) + sum(map(int, table.e))) / 2
+    return w, ua, ub, k0
+
+
+def correlator_value(table: CgTable, s) -> float:
+    """The functional at a two-qubit strategy (theta, a_vecs, b_vecs), term by
+    term: k0 + cos 2t (ua . a_z + ub . b_z) + sum_xy w[x][y] (a_z b_z +
+    sin 2t (a_x b_x - a_y b_y)), the expansion in the cgbell.quantum docstring."""
+    w, ua, ub, k0 = _correlator_lists(table)
+    ct, st = math.cos(2 * s.theta), math.sin(2 * s.theta)
+    a, b = s.a_vecs.tolist(), s.b_vecs.tolist()
+    value = k0 + ct * (sum(u * v[2] for u, v in zip(ua, a)) + sum(u * v[2] for u, v in zip(ub, b)))
+    for x, ax in enumerate(a):
+        for y, by in enumerate(b):
+            value += w[x][y] * (ax[2] * by[2] + st * (ax[0] * by[0] - ax[1] * by[1]))
+    return value
+
+
+def block_gradient(table: CgTable, theta: float, a_vecs, b_vecs, party: str) -> np.ndarray:
+    """The see-saw's gradient in each of one party's vectors: for Alice's x,
+    sum_y w[x][y] D b[y] + ua[x] cos 2t z, D = diag(sin 2t, -sin 2t, 1); for
+    Bob's y the same over Alice's vectors, with ub[y]."""
+    w, ua, ub, _ = _correlator_lists(table)
+    ct, st = math.cos(2 * theta), math.sin(2 * theta)
+    if party == "a":
+        others, u = np.asarray(b_vecs).tolist(), ua
+    else:
+        others, u, w = np.asarray(a_vecs).tolist(), ub, [list(col) for col in zip(*w)]
+    rows = []
+    for weights, ux in zip(w, u):
+        r = [0.0, 0.0, ux * ct]
+        for wxy, v in zip(weights, others):
+            r[0] += wxy * st * v[0]
+            r[1] -= wxy * st * v[1]
+            r[2] += wxy * v[2]
+        rows.append(r)
+    return np.array(rows)
+
+
+def seesaw_sweep(table: CgTable, theta: float, a_vecs, b_vecs, update_theta: bool = True):
+    """One see-saw sweep of one strategy in scalar math: every Alice vector to
+    the direction of its block gradient, then every Bob vector, then theta to
+    the maximum of k1 cos 2t + k2 sin 2t over [0, pi/4], with k1 = ua . a_z +
+    ub . b_z and k2 = sum_xy w[x][y] (a_x b_x - a_y b_y).  A vector whose
+    gradient is exactly zero keeps its direction.  theta is half of
+    atan2(k2, k1) moved to the nearest point of [0, pi/2] on the circle, so
+    ties between 0 and pi/2 go to 0, and phi = +-pi goes to pi/2.  Returns
+    (theta, a_vecs, b_vecs)."""
+
+    def towards(vecs, gradient):
+        out = []
+        for v, r in zip(np.asarray(vecs).tolist(), gradient.tolist()):
+            norm = math.sqrt(r[0] ** 2 + r[1] ** 2 + r[2] ** 2)
+            out.append([x / norm for x in r] if norm > 0 else v)
+        return out
+
+    a = towards(a_vecs, block_gradient(table, theta, a_vecs, b_vecs, "a"))
+    b = towards(b_vecs, block_gradient(table, theta, a, b_vecs, "b"))
+    if update_theta:
+        w, ua, ub, _ = _correlator_lists(table)
+        k1 = sum(u * v[2] for u, v in zip(ua, a)) + sum(u * v[2] for u, v in zip(ub, b))
+        k2 = sum(
+            w[x][y] * (a[x][0] * b[y][0] - a[x][1] * b[y][1])
+            for x in range(len(a))
+            for y in range(len(b))
+        )
+        phi = math.atan2(k2, k1)
+        if phi < -3 * math.pi / 4:  # nearer to pi/2 than to 0
+            phi += 2 * math.pi
+        theta = min(max(phi, 0.0), math.pi / 2) / 2
+    return theta, np.array(a), np.array(b)
 
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -23,17 +23,18 @@ from cgbell.quantum import (
     QUARTER_PI,
     SWEEP_CAP,
     _ROUNDING,
+    _augmented,
     _batch_sweep,
     _batch_values,
-    _block_coefficients,
+    _diagonal,
     _margin,
     _newton_model,
     _pi4_cannot_violate,
     _pi4_certified_value,
-    _product,
     _random_units,
+    _rows,
+    _theta_of,
     _theta_step,
-    _trig,
 )
 
 import oracles
@@ -59,28 +60,43 @@ CHSH_OPTIMAL = dict(
 )
 
 
-def kernel_value(table, s):
-    """The functional at a strategy, by quantum_bound's kernel on a batch of one."""
-    a, b, theta = s.a_vecs[..., None], s.b_vecs[..., None], np.array([s.theta])
-    return _batch_values(*_correlators(table), a, b, theta)[0]
+def scalar_value(table, s):
+    """The functional at a strategy, by the scalar formula of the oracle."""
+    return oracles.correlator_value(table, s)
 
 
 def seesaw_step(table, s, update_theta=True):
     """One full sweep (all Alice vectors, all Bob vectors, then theta) of one
-    strategy: quantum_bound's batched sweep on a batch of one, alike up to
-    rounding, as BLAS picks kernels by size."""
-    a, b, theta = s.a_vecs[..., None], s.b_vecs[..., None], np.array([s.theta])
-    a, b, theta, _ = _batch_sweep(*_correlators(table), a, b, theta, update_theta)
-    return QuantumStrategy(theta[0], a[..., 0], b[..., 0])
+    strategy, by the scalar see-saw of the oracle."""
+    return QuantumStrategy(*oracles.seesaw_sweep(table, s.theta, s.a_vecs, s.b_vecs, update_theta))
 
 
 def block_coefficients(table, s, party):
-    """The see-saw gradient in one party's vectors, from the kernel on a batch of one."""
-    w, ua, ub, _ = _correlators(table)
-    trig = _trig(np.array([s.theta]))
-    if party == "a":
-        return _block_coefficients(_product(w, s.b_vecs[..., None]), ua, trig)[..., 0]
-    return _block_coefficients(_product(w.T, s.a_vecs[..., None]), ub, trig)[..., 0]
+    """The see-saw gradient in one party's vectors, by the oracle."""
+    return oracles.block_gradient(table, s.theta, s.a_vecs, s.b_vecs, party)
+
+
+def batch(table, starts):
+    """quantum_bound's kernel arrays (m, k0, a, b, d) for a list of strategies."""
+    w, ua, ub, k0 = _correlators(table)
+    theta = np.array([s.theta for s in starts])
+    c = np.cos(2 * theta)
+    a = _rows(np.array([s.a_vecs for s in starts]).transpose(1, 2, 0), c)
+    b = _rows(np.array([s.b_vecs for s in starts]).transpose(1, 2, 0), c)
+    return _augmented(w, ua, ub), k0, a, b, _diagonal(np.sin(2 * theta))
+
+
+def batch_strategies(a, b, d, update_theta=True, starts=None):
+    """The strategies of a kernel batch; theta from (cos 2t, sin 2t) when it
+    is free, else the starts' theta."""
+    return [
+        QuantumStrategy(
+            _theta_of(a[-1, 2, r], d[0, r]) if update_theta else starts[r].theta,
+            a[:-1, :, r],
+            b[:-1, :, r],
+        )
+        for r in range(a.shape[-1])
+    ]
 
 
 def functional_scale(table):
@@ -91,7 +107,7 @@ def certified(table, s, free_theta):
     """Gradient below TOL * scale and Hessian below 1e-9 * scale, by eigenvalues,
     with theta held at a bound its gradient points out of."""
     w, ua, ub, _ = _correlators(table)
-    g, h = _newton_model(w, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
+    g, h = _newton_model(_augmented(w, ua, ub), s.a_vecs, s.b_vecs, s.theta, free_theta)
     if free_theta and (s.theta == 0.0 and g[-1] <= 0 or s.theta == QUARTER_PI and g[-1] >= 0):
         g, h = g[:-1], h[:-1, :-1]
     scale = functional_scale(table)
@@ -142,7 +158,7 @@ BORN_TABLES = [
 def born(theta, a, b):
     """(p(00), pA(0), pB(0)) for vectors a, b, through the see-saw kernel on 1x1."""
     s = QuantumStrategy(theta, [a], [b])
-    return tuple(kernel_value(t, s) for t in BORN_TABLES)
+    return tuple(scalar_value(t, s) for t in BORN_TABLES)
 
 
 def random_unit(rng):
@@ -219,7 +235,7 @@ class TestQuantumStrategy:
 class TestQuantumValue:
     def test_chsh_standard_optimum(self, chsh_table):
         s = QuantumStrategy(**CHSH_OPTIMAL)
-        assert kernel_value(chsh_table, s) == pytest.approx(
+        assert scalar_value(chsh_table, s) == pytest.approx(
             (math.sqrt(2) - 1) / 2, abs=1e-12
         )
 
@@ -233,7 +249,7 @@ class TestQuantumValue:
             ones = Behavior.deterministic(
                 t.scenario, [1] * t.scenario.na, [1] * t.scenario.nb
             )
-            assert kernel_value(t, s) == pytest.approx(evaluate(t, ones), abs=1e-12)
+            assert scalar_value(t, s) == pytest.approx(evaluate(t, ones), abs=1e-12)
 
     def test_white_noise_reference(self, fixtures):
         # the maximally mixed state gives the white-noise value no matter
@@ -242,6 +258,16 @@ class TestQuantumValue:
             assert evaluate(t, Behavior.white_noise(t.scenario)) == pytest.approx(
                 float(white_noise_value(t)), abs=1e-12
             )
+
+    def test_batch_values_against_the_oracle(self, fixtures, rng):
+        # quantum_bound's kernel values a batch of strategies, theta at 0,
+        # pi/4 and between, as the scalar formula of the oracle does
+        shapes = ((1, 1), (2, 3), (5, 2), (6, 6))
+        for t in [*fixtures, *(random_table(rng, na, nb) for na, nb in shapes)]:
+            na, nb = t.scenario.na, t.scenario.nb
+            starts = [random_strategy(rng, na, nb, th) for th in (0.0, QUARTER_PI, None, None)]
+            for value, s in zip(_batch_values(*batch(t, starts)), starts):
+                assert abs(value - oracles.correlator_value(t, s)) <= 1e-12
 
     def test_behavior_matches_born(self, chsh_table, rng):
         # the closed form that quantum_value references, against the trace
@@ -256,49 +282,70 @@ class TestQuantumValue:
 
 class TestSeesaw:
     def test_monotone_from_random_starts(self, fixtures, rng):
-        # with update_theta off the angle must also stay where it started
+        # the kernel's values never fall, and with update_theta off the
+        # angle must also stay where it started
         for t in fixtures:
             for update_theta in (True, False):
-                s = random_strategy(rng, t.scenario.na, t.scenario.nb)
-                theta = s.theta
-                value = quantum_value(t, s)
+                starts = [random_strategy(rng, t.scenario.na, t.scenario.nb) for _ in range(10)]
+                m, k0, a, b, d = batch(t, starts)
+                angle = a[-1, 2].copy(), b[-1, 2].copy(), d.copy()
+                values = _batch_values(m, k0, a, b, d)
                 for _ in range(100):
-                    s = seesaw_step(t, s, update_theta=update_theta)
-                    new = quantum_value(t, s)
-                    assert new >= value - 1e-12
-                    value = new
-                    assert update_theta or s.theta == theta
+                    new = _batch_sweep(m, k0, a, b, d, update_theta)
+                    assert (new >= values - 1e-12).all()
+                    values = new
+                    if not update_theta:
+                        for kept, start in zip((a[-1, 2], b[-1, 2], d), angle):
+                            np.testing.assert_array_equal(kept, start)
+                for value, s in zip(values, batch_strategies(a, b, d, update_theta, starts)):
+                    assert abs(quantum_value(t, s) - value) <= 1e-12
 
     def test_batch_of_one_follows_the_batch(self, fixtures, rng):
-        # the same kernel, though BLAS may pick different routines by batch
-        # size, so the floats may part in the last bits; the value the batch
-        # reports is the value of the state it reaches
-        restarts, sweeps = 50, 30
-        for t in fixtures:
+        # each restart of the kernel's batch against the scalar sweep of the
+        # oracle on that restart alone, which steps theta by arctan2; the
+        # value the batch reports is the value of the state it reaches.
+        # Some restarts of random tables run to theta near 1e-30, where the
+        # x and y of the vectors enter no probability, so rounding turns
+        # them freely: there the behaviors must agree, not the vectors
+        sweeps, compared = 30, 0
+        tables = [(t, 50) for t in fixtures] + [(t, 10) for t in relabeled_lifts(rng)]
+        tables += [(random_table(rng, na, nb), 20) for na, nb in ((1, 2), (2, 3), (4, 4), (6, 6))]
+        for t, restarts in tables:
             na, nb = t.scenario.na, t.scenario.nb
             starts = [random_strategy(rng, na, nb) for _ in range(restarts)]
-            a = np.array([s.a_vecs for s in starts]).transpose(1, 2, 0)
-            b = np.array([s.b_vecs for s in starts]).transpose(1, 2, 0)
-            theta = np.array([s.theta for s in starts])
+            m, k0, a, b, d = batch(t, starts)
             for _ in range(sweeps):
-                a, b, theta, values = _batch_sweep(*_correlators(t), a, b, theta, True)
-            for r, s in enumerate(starts):
+                values = _batch_sweep(m, k0, a, b, d, True)
+            for r, (s, swept) in enumerate(zip(starts, batch_strategies(a, b, d))):
                 for _ in range(sweeps):
                     s = seesaw_step(t, s)
-                assert abs(quantum_value(t, s) - values[r]) <= 1e-12
-                assert abs(s.theta - theta[r]) <= 1e-12
-                np.testing.assert_allclose(s.a_vecs, a[..., r], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(s.b_vecs, b[..., r], rtol=0, atol=1e-12)
+                assert abs(quantum_value(t, swept) - values[r]) <= 1e-12
+                assert abs(s.theta - swept.theta) <= 1e-12
+                alone, batched = (oracles.strategy_behavior(t.scenario, v) for v in (s, swept))
+                for field in ("joint", "marg_a", "marg_b"):
+                    np.testing.assert_allclose(
+                        getattr(alone, field), getattr(batched, field), rtol=0, atol=1e-12
+                    )
+                if swept.theta > 1e-6:
+                    compared += 1
+                    np.testing.assert_allclose(s.a_vecs, swept.a_vecs, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(s.b_vecs, swept.b_vecs, rtol=0, atol=1e-12)
+        assert compared >= 300
 
     def test_fixed_point_at_optimum(self, chsh_table):
         s = QuantumStrategy(**CHSH_OPTIMAL)
-        stepped = seesaw_step(chsh_table, s)
-        assert abs(quantum_value(chsh_table, stepped) - quantum_value(chsh_table, s)) < 1e-12
+        m, k0, a, b, d = batch(chsh_table, [s])
+        value = _batch_sweep(m, k0, a, b, d, True)[0]
+        assert abs(value - quantum_value(chsh_table, s)) < 1e-12
+        assert abs(quantum_value(chsh_table, seesaw_step(chsh_table, s)) - value) < 1e-12
 
     def test_theta_update_at_chsh_vectors(self, chsh_table):
         # with the optimal vectors the angle objective is a pure sin(2t)
         # term, so the update drives theta to pi/4 in one sweep
         s = QuantumStrategy(**CHSH_OPTIMAL)
+        m, k0, a, b, d = batch(chsh_table, [QuantumStrategy(0.1, s.a_vecs, s.b_vecs)])
+        _batch_sweep(m, k0, a, b, d, True)
+        assert batch_strategies(a, b, d)[0].theta == pytest.approx(QUARTER_PI)
         assert seesaw_step(chsh_table, s).theta == pytest.approx(QUARTER_PI)
 
     def test_gradient_against_finite_differences(self, fixtures, rng):
@@ -325,15 +372,17 @@ class TestSeesaw:
                 assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
     def test_theta_step_against_brute_force(self):
-        # theta reaches the maximum of k1 cos 2t + k2 sin 2t over a grid of
-        # [0, pi/4]; where 0 and pi/4 tie exactly, or nothing depends on
-        # theta, it is 0, and at phi = +-pi it is pi/4
+        # (c, s) = (cos 2t, sin 2t) reaches the maximum of k1 c + k2 s over a
+        # grid of t in [0, pi/4], and the step returns that maximum; where 0
+        # and pi/4 tie exactly, or nothing depends on theta, t is 0, and at
+        # phi = +-pi it is pi/4
         ring = np.linspace(-math.pi, math.pi, 96, endpoint=False)  # holds the axes and +-3pi/4
         endpoints = {
             (0.0, 0.0): 0.0,
             (-1.0, -1.0): 0.0,  # phi = -3pi/4, k1 = k2 < 0
             (-3.0, -3.0): 0.0,
             (2.0, 0.0): 0.0,
+            (2.0, -0.0): 0.0,
             (0.0, -2.0): 0.0,
             (0.0, 2.0): QUARTER_PI,
             (-2.0, 0.0): QUARTER_PI,  # phi = pi
@@ -345,14 +394,21 @@ class TestSeesaw:
         k2 = np.concatenate([r * np.sin(ring) for r in (1.0, 1e-3, 1e3)] + [[1.0, 3.0]])
         k1 = np.append(k1, [x for x, _ in endpoints])
         k2 = np.append(k2, [y for _, y in endpoints])
-        theta = _theta_step(k1, k2)
+        c, s, top = _theta_step(k1, k2)
+        theta = [_theta_of(x, y) for x, y in zip(c, s)]
         grid = np.linspace(0.0, QUARTER_PI, 10**5)
-        for x, y, t in zip(k1, k2, theta):
+        for x, y, cx, sx, v, t in zip(k1, k2, c, s, top, theta):
             best = (x * np.cos(2 * grid) + y * np.sin(2 * grid)).max()
+            scale = 1e-12 * math.hypot(x, y)
             assert 0.0 <= t <= QUARTER_PI
-            assert x * math.cos(2 * t) + y * math.sin(2 * t) >= best - 1e-12 * math.hypot(x, y)
+            assert cx >= 0.0 and sx >= 0.0 and abs(math.hypot(cx, sx) - 1.0) <= 1e-15
+            assert abs(math.cos(2 * t) - cx) <= 1e-15 and abs(math.sin(2 * t) - sx) <= 1e-15
+            assert x * cx + y * sx >= best - scale
+            assert abs(v - (x * cx + y * sx)) <= scale
         for t, expected in zip(theta[-len(endpoints):], endpoints.values()):
             assert t == expected and not np.signbit(t)
+        assert _theta_of(0.0, 1.0) == QUARTER_PI and _theta_of(1.0, 0.0) == 0.0
+        assert not np.signbit(_theta_of(1.0, -0.0))
 
     def test_zero_gradient_keeps_direction(self, chsh_table, rng):
         # CHSH has ua = 0 and d[0] = (1, 1), so Alice's setting 0 has zero
@@ -366,22 +422,21 @@ class TestSeesaw:
                 b = np.array(starts[r].b_vecs)
                 b[1] = -b[0]
                 starts[r] = QuantumStrategy(starts[r].theta, starts[r].a_vecs, b)
-            a0 = np.array([s.a_vecs for s in starts]).transpose(1, 2, 0)
-            b0 = np.array([s.b_vecs for s in starts]).transpose(1, 2, 0)
-            theta0 = np.array([s.theta for s in starts])
-            a, b, theta, _ = _batch_sweep(*_correlators(t), a0, b0, theta0, True)
-            for r, s in enumerate(starts):
+            m, k0, a, b, d = batch(t, starts)
+            a0, b0 = a.copy(), b.copy()
+            _batch_sweep(m, k0, a, b, d, True)
+            for r, (s, swept) in enumerate(zip(starts, batch_strategies(a, b, d))):
                 kept_a = unused + ([0] if r in (1, 4) else [])
                 for vecs, old, kept in ((a, a0, kept_a), (b, b0, unused)):
-                    for x in range(len(vecs)):
+                    for x in range(len(vecs) - 1):
                         if x in kept:
                             np.testing.assert_array_equal(vecs[x, :, r], old[x, :, r])
                         else:
                             assert abs(np.linalg.norm(vecs[x, :, r]) - 1.0) <= 1e-12
                 alone = seesaw_step(t, s)
-                assert abs(alone.theta - theta[r]) <= 1e-12
-                np.testing.assert_allclose(alone.a_vecs, a[..., r], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(alone.b_vecs, b[..., r], rtol=0, atol=1e-12)
+                assert abs(alone.theta - swept.theta) <= 1e-12
+                np.testing.assert_allclose(alone.a_vecs, swept.a_vecs, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(alone.b_vecs, swept.b_vecs, rtol=0, atol=1e-12)
 
     def test_bob_gradient_symmetry(self, chsh_table, rng):
         # party swap on CHSH-like symmetric table: bob coefficients follow
@@ -408,9 +463,10 @@ class TestNewtonModel:
         na = len(s.a_vecs)
         moved = np.concatenate((s.a_vecs, s.b_vecs)) + steps[:, None, None] * u
         moved /= np.linalg.norm(moved, axis=2, keepdims=True)
-        thetas = s.theta + steps * u_theta
         moved = moved.transpose(1, 2, 0)
-        return _batch_values(w, ua, ub, k0, moved[:na], moved[na:], thetas)
+        two = 2 * (s.theta + steps * u_theta)  # may pass pi/2, which no QuantumStrategy holds
+        a, b = _rows(moved[:na], np.cos(two)), _rows(moved[na:], np.cos(two))
+        return _batch_values(_augmented(w, ua, ub), k0, a, b, _diagonal(np.sin(two)))
 
     @pytest.mark.parametrize("theta", [None, 0.0, QUARTER_PI])
     @pytest.mark.parametrize("free_theta", [True, False])
@@ -421,7 +477,7 @@ class TestNewtonModel:
             for _ in range(3):
                 s = random_strategy(rng, na, nb, theta)
                 w, ua, ub, _ = _correlators(t)
-                g, h = _newton_model(w, ua, ub, s.a_vecs, s.b_vecs, s.theta, free_theta)
+                g, h = _newton_model(_augmented(w, ua, ub), s.a_vecs, s.b_vecs, s.theta, free_theta)
                 n = 3 * (na + nb)
                 assert h.shape == (len(g), len(g)) == (n + free_theta,) * 2
                 np.testing.assert_array_equal(h, h.T)
@@ -458,9 +514,8 @@ class TestPolishNearAMinimum:
 
         a, b = off(low.a_vecs), off(low.b_vecs)
         theta = min(max(low.theta, 1e-3), QUARTER_PI - 1e-3)
-        f = _correlators(table)
-        value = _batch_values(*f, a[..., None], b[..., None], np.array([theta]))[0]
-        return f, a, b, theta, value
+        m, k0, *rows = batch(table, [QuantumStrategy(theta, a, b)])
+        return (m, k0), a, b, theta, _batch_values(m, k0, *rows)[0]
 
     @pytest.mark.parametrize("make", [chsh, i3322])
     def test_damping_grows_and_the_value_never_drops(self, make, rng, monkeypatch):
@@ -474,7 +529,7 @@ class TestPolishNearAMinimum:
         a, b, theta, polished, _ = quantum._polish(*f, a, b, theta, value, True, scale)
         assert False in tests
         assert polished >= value - _ROUNDING * scale
-        at_end = _batch_values(*f, a[..., None], b[..., None], np.array([theta]))[0]
+        at_end = _batch_values(*batch(t, [QuantumStrategy(theta, a, b)]))[0]
         assert polished == pytest.approx(at_end, abs=_ROUNDING * scale)
 
     @pytest.mark.parametrize("make", [chsh, i3322])
@@ -679,7 +734,7 @@ class TestQuantumBound:
             polished.clear()
             quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
             assert len(polished) == 1
-            a, b, theta, value = polished[0][4:8]
+            a, b, theta, value = polished[0][2:6]
             swept = list(replayed(t, fix_theta, restarts, seed, len(sweeps)))
             values = [quantum_value(t, s) for s in swept]
             assert value == pytest.approx(max(values), abs=1e-12)
@@ -833,7 +888,7 @@ class TestPi4GradientCertificate:
             best = _pi4_certified_value(t, s)
             moved = [v + 1e-4 * rng.normal(size=v.shape) for v in (s.a_vecs, s.b_vecs)]
             moved = QuantumStrategy(s.theta, *(v / np.linalg.norm(v, axis=1, keepdims=True) for v in moved))
-            assert best - kernel_value(t, moved) > 2 * _margin(t), t.name
+            assert best - scalar_value(t, moved) > 2 * _margin(t), t.name
             assert _pi4_certified_value(t, moved) is None, t.name
 
     def test_no_certificate_below_k0(self, fixtures):
@@ -844,7 +899,7 @@ class TestPi4GradientCertificate:
             k0 = _correlators(t)[3]
             assert _pi4_certified_value(t, s) > k0 + 0.1
             flipped = QuantumStrategy(s.theta, s.a_vecs, -s.b_vecs)
-            assert kernel_value(t, flipped) < k0 - 0.1
+            assert scalar_value(t, flipped) < k0 - 0.1
             assert _pi4_certified_value(t, flipped) is None
 
     def test_w_zero_certifies_k0(self):

@@ -259,6 +259,26 @@ class TestFacetCheckOracle:
             )
 
 
+    def test_faces_below_full_rank(self):
+        # dense random tables at their local bound, or at their next vertex
+        # value, saturate fewer vertices than the D + 1 rows of the Gram
+        # matrix, so the row reduction stops at the rank bound n
+        rng = np.random.default_rng(17)
+        faces = 0
+        for n in range(2, 7):
+            for _ in range(8):
+                t = random_table(rng, n, n)
+                for bound in sorted(set(localpoly._vertex_values(t).ravel()))[-2:]:
+                    t = CgTable(t.scenario, t.d, t.c, t.e, int(bound))
+                    r = facet_check(t)
+                    if not 2 <= r.saturating_count < t.scenario.cg_dimension() + 1:
+                        continue
+                    faces += 1
+                    assert (r.is_valid, r.saturating_count, r.affine_dimension, r.is_facet) == (
+                        oracles.facet_check_fraction(t)
+                    )
+        assert faces >= 40
+
     def test_rank_deficient_direct_sum(self):
         # CHSH + CHSH saturates a face of dimension 22 < 23: its Gram rank
         # falls short of the upper bound under every prime
