@@ -417,6 +417,11 @@ DATA = Path(__file__).resolve().parent / "data"
         # computed with every stage on the full 4x4 table, so it checks the
         # reduced-table pipeline against the full-table one
         (["analyze", "--input", str(DATA / "lifts_4x4.txt")], "lifts_4x4_analyze.csv"),
+        (["canon", "--input", str(DATA / "lifts_4x4.txt")], "lifts_4x4_canon.txt"),
+        # one relabeled zero-lift of each fixture at 5x5..8x8, the WORST_8X8
+        # tables of test_symmetry.py and CHSH+CHSH+I3422_1 (direct_sum of
+        # test_robustness.py), drawn from default_rng(2019)
+        (["canon", "--input", str(DATA / "canon_large.txt")], "canon_large_canon.txt"),
     ],
 )
 def test_fixture_outputs_are_byte_identical(capsys, command, expected):
