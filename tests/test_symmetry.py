@@ -15,7 +15,7 @@ from cgbell import (
     white_noise_value,
 )
 from cgbell.localpoly import _vertex_values
-from cgbell.symmetry import _flipped
+from cgbell.symmetry import _flipped, _least_row
 
 import oracles
 from oracles import Relabeling, apply_relabeling, evaluate, random_relabeling
@@ -144,6 +144,40 @@ def test_l_minus_n_preserved(fixtures, rng):
         r = random_relabeling(t.scenario, rng)
         relabeled = apply_relabeling(t, r)
         assert local_bound(t) - white_noise_value(t) == local_bound(relabeled) - white_noise_value(relabeled)
+
+
+def least_row_input(kind, rng):
+    """A seeded int64 array of one of the shapes that _least_row meets."""
+    n, width = int(rng.integers(2, 40)), int(rng.integers(1, 17))
+    if kind == "one row":
+        return rng.integers(-5, 6, size=(1, width))
+    if kind == "all rows equal":
+        return np.repeat(rng.integers(-5, 6, size=(1, width)), n, axis=0)
+    if kind == "ties on a prefix":
+        # a shared prefix, then few values, so copies of the least row remain
+        rows = rng.integers(0, 2, size=(n, width))
+        prefix = int(rng.integers(1, width + 1))
+        rows[:, :prefix] = rng.integers(-3, 4, size=prefix)
+        return rows
+    if kind == "negative entries":
+        # the candidate filter's sorted c and e reach about -2^47
+        return rng.choice([-(2**47), -(2**44) - 1, -3, -1, 0, 2], size=(n, width))
+    # _least_rows' keys class * span + value + off reach about 2^48
+    return 2**48 - rng.integers(0, 3, size=(n, width))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["one row", "all rows equal", "ties on a prefix", "negative entries", "near 2^48"],
+)
+def test_least_row_is_the_lexicographic_minimum(kind):
+    rng = np.random.default_rng(1811)
+    for _ in range(50):
+        rows = least_row_input(kind, rng).astype(np.int64)
+        least, mask = _least_row(rows)
+        want = min(map(tuple, rows.tolist()))
+        assert tuple(least.tolist()) == want
+        assert mask.tolist() == [row == want for row in map(tuple, rows.tolist())]
 
 
 class TestCanonicalForm:
