@@ -39,14 +39,12 @@ prefix ties the least one: small unless the table has many automorphisms,
 which are not pruned (the 8x8 identity ends with 8! = 40,320 states).
 
 One kernel, ``_least_row``, takes the least row of an integer array and
-the mask of its ties by one ``np.lexsort``.  It picks the least (sorted c,
-sorted e) among the candidates and the least shown row at every level, so
-a level costs a fixed number of numpy passes over the frontier whatever nb
-is.  It sorts, so a call on F rows costs O(nb F log F) against the
-O(nb F) of a filter column by column, but in a fixed number of numpy
-calls.  That pays on the 4x4 lifts, whose kernel calls see at most 52
-rows, and costs about 7 % of the time of the 8x8 Hadamard table, whose
-frontier reaches 64,512 states.
+the mask of its ties by one ``np.lexsort``: the least (sorted c, sorted e)
+among the candidates, and the least shown row at every level.  So a level
+costs a fixed number of numpy passes over the frontier whatever nb is.  The
+sort is O(nb F log F) on F rows against O(nb F) for a filter column by
+column: fewer numpy calls win on the frontiers of a few dozen states that
+4x4 tables reach, and lose on the 64,512 states of the 8x8 Hadamard table.
 """
 
 from __future__ import annotations
