@@ -12,20 +12,16 @@ numbers, and zero-lifting keeps facet status (Pironio, J. Math. Phys. 46,
 062112 (2005)), so no stage pays for them.  The report keeps the input's
 name and scenario.
 
-q_me, the pi/4 value behind lambda_me and eta_sym, comes from the cheapest
-proof that holds (the dual points of quantum's module docstring):
-- when the uniform dual point of quantum._pi4_cannot_violate shows that no
-  pi/4 value lies above L + margin (quantum._margin: 1e-9 plus the reach of
-  rounding, which grows with the functional), lambda_me and eta_sym are 1
-  whatever q_me is, and L stands in for it;
-- else, when the gradient dual point of quantum._pi4_certified_value
-  certifies the free-theta see-saw's own vectors at theta = pi/4, their
-  value is q_me: no pi/4 strategy exceeds it by more than the margin;
-- else the theta = pi/4 see-saw runs, and its value is q_me.  It goes
-  through the same certificate, which a see-saw stopped short of the
-  maximum fails.
-Whether q_me was certified is kept on the report, like `converged`, but
-not rendered.
+q_me, the pi/4 value behind lambda_me and eta_sym, comes from one
+certificate, quantum._pi4_certified_value: it returns L when no pi/4 value
+lies above L + margin (quantum._margin: 1e-9 plus the reach of rounding,
+which grows with the functional), so that lambda_me and eta_sym are 1
+whatever q_me is, or the pi/4 value of the free-theta see-saw's vectors
+when no pi/4 strategy exceeds it by more than the margin.  Only when it
+returns None does the theta = pi/4 see-saw run; its value is q_me, and its
+vectors go through the same certificate, which a see-saw stopped short of
+the maximum fails.  Whether q_me was certified is kept on the report, like
+`converged`, but not rendered.
 
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
@@ -49,13 +45,7 @@ import numpy as np
 
 from .localpoly import detect_lifting, facet_check, local_bound, white_noise_value
 from .model import CgTable, Scenario
-from .quantum import (
-    QUARTER_PI,
-    _margin,
-    _pi4_cannot_violate,
-    _pi4_certified_value,
-    quantum_bound,
-)
+from .quantum import QUARTER_PI, _margin, _pi4_certified_value, quantum_bound
 from .robustness import detection_threshold, noise_resistance
 from .symmetry import canonical_form, correlation_form
 
@@ -112,8 +102,8 @@ class AnalysisReport:
     # the free-theta see-saw, and the pi/4 one when it ran, ended at a
     # certified local maximum (a gradient and Hessian test, not a global one)
     converged: bool
-    # a dual point proves that no pi/4 strategy exceeds the q_me behind
-    # lam_me and eta_sym by more than the margin (quantum._pi4_dual_holds)
+    # quantum._pi4_certified_value proves that no pi/4 strategy exceeds the
+    # q_me behind lam_me and eta_sym by more than the margin
     q_me_certified: bool
 
     def validate(self) -> None:
@@ -142,10 +132,9 @@ def analyze_table(
     seed; only scenario and lifted_from tell them apart.  The two
     optimizations (free theta, theta = pi/4) get seeds derived from
     (seed, index), so rows are reproducible independently of batch order.
-    The pi/4 one runs only when neither dual point of the module docstring
-    holds: the uniform one, which proves that no pi/4 value violates, nor
-    the gradient one at the free-theta vectors, which certifies their pi/4
-    value as q_me.  A free-theta value below L - margin raises ValueError.
+    The pi/4 one runs only when quantum._pi4_certified_value certifies no
+    q_me from the free-theta vectors.  A free-theta value below L - margin
+    raises ValueError.
     """
     lift = detect_lifting(table)
     reduced = lift or table
@@ -157,12 +146,8 @@ def analyze_table(
     margin = _margin(reduced)
     if free.value < bound - margin:
         raise ValueError(f"row {index}: quantum value {free.value} below local bound {bound}")
-    # under the uniform point every pi/4 value gives lambda_me = eta_sym = 1, as L does
-    q_me, converged = bound, free.converged
-    certified = _pi4_cannot_violate(reduced, bound + margin)
-    if not certified:
-        q_me = _pi4_certified_value(reduced, free.strategy)
-        certified = q_me is not None
+    q_me, converged = _pi4_certified_value(reduced, free.strategy, bound), free.converged
+    certified = q_me is not None
     if not certified:
         fixed = quantum_bound(
             reduced,
@@ -171,7 +156,7 @@ def analyze_table(
             seed=_derived_seed(seed, index, 1),
         )
         q_me, converged = fixed.value, converged and fixed.converged
-        certified = _pi4_certified_value(reduced, fixed.strategy) is not None
+        certified = _pi4_certified_value(reduced, fixed.strategy, bound) is not None
     report = AnalysisReport(
         index=index,
         name=table.name,

@@ -45,17 +45,15 @@ Its maximum over unit vectors of any dimension is a semidefinite program
 over the elliptope (Tsirelson, Lett. Math. Phys. 4, 93 (1980)), and every
 dual point bounds it: when Diag(mu) - [[0, w/2], [w^T/2, 0]] is positive
 definite, no pi/4 strategy of any dimension exceeds k0 + sum(mu).
-_pi4_dual_holds tests that by one Cholesky factor, at two points.
-_pi4_cannot_violate takes the point that is uniform per party over the
-settings w uses, which holds just when k0 + |w|_2 sqrt(na' nb') stays
-below a given value less a rounding margin of _ROUNDING * scale;
-analyze_table gives it L + _margin, the one margin by which every stage
-tells a value above L (MARGIN plus that same rounding), and then needs no
-pi/4 value.  _pi4_certified_value takes the gradient point of a strategy's
-vectors, mu = |block gradient|/2 at theta = pi/4 (the multipliers of the
-unit-norm constraints, exact at a maximum), raised evenly until k0 +
-sum(mu) is the vectors' pi/4 value v plus _margin: when it holds, v is the
-global pi/4 maximum to within the margin, and no pi/4 see-saw is needed.
+_pi4_certified_value is the one certificate of q_me, the pi/4 value: it
+tests that matrix by one Cholesky factor, first at the point uniform per
+party, which proves that no pi/4 value passes a given bound plus _margin
+(analyze_table gives it L, which then stands in for q_me), then at the
+gradient point of a strategy's vectors, which proves their pi/4 value the
+global maximum to within _margin.  When both fail it returns None, and
+only then does analyze_table run a pi/4 see-saw.  _margin, MARGIN plus
+_ROUNDING * scale, is the one margin by which every stage tells a value
+above L.
 """
 
 from __future__ import annotations
@@ -271,66 +269,51 @@ def _negative_definite(m, diag, mu):
     return True
 
 
-def _pi4_dual_holds(w, mu) -> bool:
-    """Whether Diag(mu) - [[0, w/2], [w^T/2, 0]] is positive definite, mu
-    holding a weight for each row of w, then for each column.  Then no
-    strategy at theta = pi/4, of any dimension, has a value above
+def _pi4_certified_value(table: CgTable, strategy: QuantumStrategy, bound) -> Optional[float]:
+    """A value that no strategy at theta = pi/4, of any dimension, exceeds
+    by more than _margin: bound when the uniform dual point holds, else the
+    strategy's pi/4 value v when its gradient dual point holds, else None.
+
+    Both points weigh only the na' rows and nb' columns of w that are
+    nonzero, since settings of zero weight add nothing to any value.  A
+    point mu holds when [[Diag(mu_a), w/2], [w^T/2, Diag(mu_b)]] has a
+    Cholesky factor; negating Bob's rows and columns turns it into
+    Diag(mu) - [[0, w/2], [w^T/2, 0]].  Then no pi/4 value exceeds
     k0 + sum(mu): that value is k0 + <C, G> for the off-diagonal C and the
-    Gram matrix G of unit vectors a[x] and R b[y], and <C, G> <= <Diag(mu), G>
-    = sum(mu) as G is positive semidefinite with unit diagonal.  The test is
-    one Cholesky factor of [[Diag(mu_a), w/2], [w^T/2, Diag(mu_b)]]; negating
-    Bob's rows and columns turns it into Diag(mu) - [[0, w/2], [w^T/2, 0]],
-    so the two are positive definite together.
-    """
-    na = len(w)
-    m = np.zeros((len(mu),) * 2)
-    m[:na, na:], m[na:, :na] = w / 2, w.T / 2
-    return _negative_definite(m, 0.0, mu)
+    Gram matrix G of unit vectors a[x] and R b[y], and <C, G> <=
+    <Diag(mu), G> = sum(mu) as G is positive semidefinite with unit diagonal.
 
-
-def _pi4_cannot_violate(table: CgTable, bound) -> bool:
-    """Whether no strategy at theta = pi/4 has a value above bound - rounding,
-    so that no pi/4 see-saw can return a value above bound.
-
-    The dual point is slack/(2 na') on each of the na' rows of w that are
-    nonzero and slack/(2 nb') on each of the nb' nonzero columns, with
-    slack = bound - k0 - _ROUNDING * scale; settings of zero weight add
-    nothing to any value, so the point leaves them out.  It holds just when
-    slack > |w|_2 sqrt(na' nb'), the best uniform point per party: the
-    minimum of na' alpha + nb' beta over alpha beta > |w|_2^2 / 4.
+    - The uniform point is slack/(2 na') on each row and slack/(2 nb') on
+      each column, slack = bound + _margin - k0 - _ROUNDING * scale, so that
+      k0 + sum(mu) is bound + _margin less rounding.  It holds just when
+      slack > |w|_2 sqrt(na' nb'), the best uniform point per party: the
+      minimum of na' alpha + nb' beta over alpha beta > |w|_2^2 / 4.
+    - The gradient point is mu[x] = |r[x]|/2 with r[x] = sum_y w[x, y] R b[y],
+      and mu[y] = |sum_x w[x, y] a[x]|/2, each raised by the same amount so
+      that k0 + sum(mu) = v + _margin.  At a block maximum sum(mu) = v - k0,
+      so each weight rises by about the margin over the settings' number; a
+      strategy far from the pi/4 maximum, or with a value below k0, leaves
+      the matrix indefinite.
     """
     w, _, _, k0 = _correlators(table)
-    slack = bound - k0 - _ROUNDING * _scale(table)
+    rounding = _ROUNDING * _scale(table)
+    margin = MARGIN + rounding  # _margin(table)
+    slack = bound + margin - k0 - rounding
     rows, cols = w.any(axis=1), w.any(axis=0)
     w = w[rows][:, cols]
+    if not w.size:  # w = 0: every pi/4 value is k0
+        return bound if slack >= 0 else float(k0)
     na, nb = w.shape
-    if not w.size:
-        return slack >= 0  # w = 0: every value is k0
-    return _pi4_dual_holds(w, np.repeat([slack / (2 * na), slack / (2 * nb)], [na, nb]))
-
-
-def _pi4_certified_value(table: CgTable, strategy: QuantumStrategy) -> Optional[float]:
-    """The value v of the strategy's vectors at theta = pi/4, when a dual point
-    proves that no pi/4 strategy of any dimension exceeds v + _margin; None
-    when that point fails.
-
-    The point is the gradient one: mu[x] = |r[x]|/2 with r[x] = sum_y w[x, y]
-    R b[y], and mu[y] = |sum_x w[x, y] a[x]|/2, over the settings w uses,
-    each raised by the same amount so that k0 + sum(mu) = v + _margin.  At a
-    block maximum sum(mu) = v - k0, so each weight rises by about the
-    margin over the settings' number; a strategy far from the pi/4 maximum,
-    or with a value below k0, leaves the matrix indefinite.
-    """
-    w, _, _, k0 = _correlators(table)
-    rows, cols = w.any(axis=1), w.any(axis=0)
-    w, a, rb = w[rows][:, cols], strategy.a_vecs[rows], strategy.b_vecs[cols] * (1, -1, 1)
+    m = np.zeros((na + nb,) * 2)
+    m[:na, na:], m[na:, :na] = w / 2, w.T / 2
+    if _negative_definite(m, 0.0, np.repeat([slack / (2 * na), slack / (2 * nb)], [na, nb])):
+        return bound
+    a, rb = strategy.a_vecs[rows], strategy.b_vecs[cols] * (1, -1, 1)
     r = w @ rb
     value = k0 + np.vdot(a, r)
     mu = np.concatenate((np.linalg.norm(r, axis=1), np.linalg.norm(w.T @ a, axis=1))) / 2
-    if not mu.size:
-        return float(value)  # w = 0: every value is k0
-    mu += (value + _margin(table) - k0 - mu.sum()) / len(mu)
-    return float(value) if _pi4_dual_holds(w, mu) else None
+    mu += (value + margin - k0 - mu.sum()) / len(mu)
+    return float(value) if _negative_definite(m, 0.0, mu) else None
 
 
 def _polish(m, k0, a, b, theta, value, free_theta, scale):

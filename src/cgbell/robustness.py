@@ -59,13 +59,13 @@ def noise_resistance(table: CgTable, q: float) -> float:
 
     ``q`` should be a quantum value: quantum_bound's free-theta one for the
     optimal-state threshold, and q_me, the theta = pi/4 one, for the
-    maximally entangled threshold.  analyze_table takes q_me from the
-    free-theta vectors when quantum._pi4_certified_value certifies their
-    pi/4 value, and from quantum_bound with fix_theta = pi/4 otherwise.
-    Returns 1.0 when there is no violation, q <= L + margin
-    (quantum._margin), so q may be L itself when a bound already proves
-    that no quantum value exceeds L + margin.  A q below N - margin raises
-    InconsistencyError.
+    maximally entangled threshold.  analyze_table takes q_me from
+    quantum._pi4_certified_value, which returns L when no pi/4 value
+    exceeds L + margin and otherwise the certified pi/4 value of the
+    free-theta vectors, and from quantum_bound with fix_theta = pi/4 when
+    it certifies neither.  Returns 1.0 when there is no violation,
+    q <= L + margin (quantum._margin), so q may be L itself.  A q below
+    N - margin raises InconsistencyError.
     """
     bound = local_bound(table)
     noise = white_noise_value(table)
@@ -113,15 +113,16 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     """Minimal symmetric detector efficiency preserving a violation.
 
     ``q_me`` must be a quantum value of the maximally entangled state,
-    theta = pi/4: quantum_bound's with fix_theta = pi/4, or the pi/4 value
-    of any vectors, such as the free-theta see-saw's, that
-    quantum._pi4_certified_value certifies.  Only at pi/4 are M_A, M_B, X
+    theta = pi/4: quantum_bound's with fix_theta = pi/4, or a value that
+    quantum._pi4_certified_value certifies, such as the pi/4 value of the
+    free-theta see-saw's vectors.  Only at pi/4 are M_A, M_B, X
     measurement independent and the decoupled quadratic exact.  All
     2^(na+nb) per-setting no-click assignments are solved and the smallest
     threshold returned.  Ties go to the lexicographically smallest
     assignment.  Returns eta = 1 when the state does not violate at full
     efficiency, q_me <= L + margin (quantum._margin), so q_me may be L
-    itself when a bound already proves that no pi/4 value exceeds L + margin.
+    itself, which quantum._pi4_certified_value returns when no pi/4 value
+    exceeds L + margin.
     """
     values = _vertex_values(table)
     bound = int(values.max())

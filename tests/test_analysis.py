@@ -252,10 +252,9 @@ CERTIFIED = {
 
 
 def dual_points_off(monkeypatch):
-    """analyze_table with neither pi/4 dual point holding: the uniform one of
-    _pi4_cannot_violate, nor the gradient one of _pi4_certified_value."""
-    monkeypatch.setattr(analysis, "_pi4_cannot_violate", lambda table, bound: False)
-    monkeypatch.setattr(analysis, "_pi4_certified_value", lambda table, strategy: None)
+    """analyze_table with neither pi/4 dual point of _pi4_certified_value
+    holding, the uniform one nor the gradient one."""
+    monkeypatch.setattr(analysis, "_pi4_certified_value", lambda table, strategy, bound: None)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
@@ -265,6 +264,8 @@ def test_a_certified_table_runs_the_free_seesaw_only(monkeypatch, name):
     calls = counted_seesaws(monkeypatch)
     report = analyze_table(table)
     assert calls == [None] and report.q_me_certified
+    # a numpy bool once came from the w = 0 branch
+    assert type(report.q_me_certified) is bool and type(report.converged) is bool
     calls.clear()
     dual_points_off(monkeypatch)
     assert analyze_table(table) == dataclasses.replace(report, q_me_certified=False)

@@ -29,7 +29,6 @@ from cgbell.quantum import (
     _diagonal,
     _margin,
     _newton_model,
-    _pi4_cannot_violate,
     _pi4_certified_value,
     _random_units,
     _rows,
@@ -771,6 +770,32 @@ def relabeled_lifts(rng):
         yield apply_relabeling(lifted, random_relabeling(lifted.scenario, rng))
 
 
+def below_k0(table):
+    """z-aligned vectors whose pi/4 value is k0 - |sum(w)| <= k0.  When w != 0
+    no gradient point certifies them: Diag(mu) - [[0, w/2], [w^T/2, 0]] is
+    positive definite only when every mu is positive and some
+    mu[x] mu[y] > (w[x, y]/2)^2 >= 1/64, so sum(mu) > 1/4, while the point
+    sets sum(mu) to the value + _margin - k0."""
+    w = _correlators(table)[0]
+    sign = -1.0 if w.sum() > 0 else 1.0
+    return QuantumStrategy(QUARTER_PI, np.tile(Z, (len(w), 1)), sign * np.tile(Z, (w.shape[1], 1)))
+
+
+def uniform_point_holds(table, bound):
+    """Whether _pi4_certified_value's uniform point holds at bound, which it
+    then returns; its gradient point gets vectors that it does not certify."""
+    value = _pi4_certified_value(table, below_k0(table), bound)
+    if _correlators(table)[0].any():
+        assert value in (bound, None)
+    return value == bound
+
+
+def gradient_value(table, s):
+    """_pi4_certified_value of the strategy with a bound below k0, which the
+    uniform point never proves: its gradient point alone."""
+    return _pi4_certified_value(table, s, _correlators(table)[3] - 1.0)
+
+
 class TestPi4Certificate:
     def test_svd_bound_is_above_the_seesaw(self, fixtures):
         for t in fixtures:
@@ -782,21 +807,42 @@ class TestPi4Certificate:
                 assert gap <= 1e-9
 
     def test_cholesky_test_matches_the_svd_bound(self, fixtures, rng):
+        # the uniform point proves no pi/4 value above bound + _margin less
+        # rounding, so it holds at a bound 1e-9 * scale above svd - _margin
+        # and fails 1e-9 * scale below it
         tables = [*fixtures, *relabeled_lifts(rng)]
         tables += [random_table(rng, na, nb) for na in range(1, 9) for nb in (na, 9 - na)]
         tables.append(CgTable(Scenario(3, 2), np.zeros((3, 2), int), [1, 0, -2], [0, 3], 0))
         for t in tables:
-            bound, margin = oracles.pi4_correlator_bound(t), 1e-9 * functional_scale(t)
-            assert _pi4_cannot_violate(t, bound + margin)
-            assert not _pi4_cannot_violate(t, bound - margin)
+            bound, margin = oracles.pi4_correlator_bound(t) - _margin(t), 1e-9 * functional_scale(t)
+            assert uniform_point_holds(t, bound + margin)
+            assert not uniform_point_holds(t, bound - margin)
+
+    def test_uniform_point_against_its_closed_form(self, rng):
+        # it holds just when slack > |w'|_2 sqrt(na' nb'), the SVD bound less k0
+        cases = 0
+        for na, nb in itertools.product(range(1, 9), repeat=2):
+            for _ in range(3):
+                t = random_table(rng, na, nb)
+                w, _, _, k0 = _correlators(t)
+                if not w.any():
+                    continue
+                t = CgTable(t.scenario, t.d, t.c, t.e, local_bound(t))
+                margin = _margin(t)
+                spectral = oracles.pi4_correlator_bound(t) - k0
+                for bound in (t.bound - margin, t.bound, t.bound + margin, t.bound + 0.5, k0 - 1):
+                    slack = bound + margin - k0 - _ROUNDING * functional_scale(t)
+                    assert uniform_point_holds(t, bound) == (slack > spectral), (t, bound)
+                    cases += 1
+        assert cases >= 900
 
     def test_no_certificate_below_the_white_noise_value(self, fixtures):
         # negating Bob's vectors negates every term but k0, so some pi/4 value
         # is at least k0 and no bound below it holds; here w != 0
         for t in fixtures:
             k0 = _correlators(t)[3]
-            assert not _pi4_cannot_violate(t, k0 - 1e-6)
-            assert not _pi4_cannot_violate(t, k0 - 1.0)
+            assert _pi4_certified_value(t, below_k0(t), k0 - 1e-6) is None
+            assert _pi4_certified_value(t, below_k0(t), k0 - 1.0) is None
 
     def test_no_pi4_seesaw_passes_a_certified_bound(self, rng):
         tables = list(relabeled_lifts(rng))
@@ -807,12 +853,11 @@ class TestPi4Certificate:
         certified = 0
         for t in tables:
             value = quantum_bound(t, fix_theta=QUARTER_PI, seed=7).value
-            # the local bound as analyze_table tests it, and just above the SVD bound
-            svd = oracles.pi4_correlator_bound(t) + 1e-9 * functional_scale(t)
-            for bound in (t.bound + _margin(t), svd):
-                if _pi4_cannot_violate(t, bound):
+            # the local bound, as analyze_table gives it, and the SVD bound
+            for bound in (t.bound, oracles.pi4_correlator_bound(t)):
+                if uniform_point_holds(t, bound):
                     certified += 1
-                    assert value <= bound
+                    assert value <= bound + _margin(t)
         # every table at the SVD bound, and most random ones and the positivity lift at L
         assert certified >= len(tables) + 10
 
@@ -839,8 +884,8 @@ def violating_population(rng, draws):
 
 
 class TestPi4GradientCertificate:
-    """_pi4_certified_value against the elliptope value of the oracle, block
-    ascent in R^(na+nb) with no rank limit."""
+    """_pi4_certified_value's gradient point against the elliptope value of
+    the oracle, block ascent in R^(na+nb) with no rank limit."""
 
     def test_a_certified_value_is_the_elliptope_maximum(self, fixtures):
         rng = np.random.default_rng(5)
@@ -851,7 +896,7 @@ class TestPi4GradientCertificate:
         for t in tables:
             elliptope, margin = oracles.pi4_elliptope_value(t), _margin(t)
             for fix_theta in (None, QUARTER_PI):
-                value = _pi4_certified_value(t, quantum_bound(t, fix_theta=fix_theta).strategy)
+                value = gradient_value(t, quantum_bound(t, fix_theta=fix_theta).strategy)
                 if value is not None:
                     certified += 1
                     # no pi/4 strategy passes the certified value, and rank 3 reaches it
@@ -864,7 +909,7 @@ class TestPi4GradientCertificate:
         (t,) = [t for t in fixtures if t.name == name]
         r = quantum_bound(t)
         assert r.strategy.theta < QUARTER_PI - 0.05
-        assert _pi4_certified_value(t, r.strategy) is None
+        assert gradient_value(t, r.strategy) is None
 
     def test_no_certificate_from_a_truncated_run(self, fixtures, monkeypatch):
         # one sweep and no Newton step: the run ends short of a maximum
@@ -876,7 +921,7 @@ class TestPi4GradientCertificate:
                     r = quantum_bound(t, fix_theta=fix_theta, restarts=1, seed=seed)
                     if not r.converged:
                         truncated += 1
-                        assert _pi4_certified_value(t, r.strategy) is None, (t.name, seed)
+                        assert gradient_value(t, r.strategy) is None, (t.name, seed)
         # all but CHSH at pi/4, whose see-saw reaches its maximum in one sweep
         assert truncated == 36
 
@@ -885,11 +930,11 @@ class TestPi4GradientCertificate:
         # more than the margin, and a certificate for them would be false
         for t in fixtures:
             s = quantum_bound(t, fix_theta=QUARTER_PI).strategy
-            best = _pi4_certified_value(t, s)
+            best = gradient_value(t, s)
             moved = [v + 1e-4 * rng.normal(size=v.shape) for v in (s.a_vecs, s.b_vecs)]
             moved = QuantumStrategy(s.theta, *(v / np.linalg.norm(v, axis=1, keepdims=True) for v in moved))
             assert best - scalar_value(t, moved) > 2 * _margin(t), t.name
-            assert _pi4_certified_value(t, moved) is None, t.name
+            assert gradient_value(t, moved) is None, t.name
 
     def test_no_certificate_below_k0(self, fixtures):
         # negating Bob's vectors negates every term but k0, and some pi/4
@@ -897,12 +942,12 @@ class TestPi4GradientCertificate:
         for t in fixtures:
             s = quantum_bound(t, fix_theta=QUARTER_PI).strategy
             k0 = _correlators(t)[3]
-            assert _pi4_certified_value(t, s) > k0 + 0.1
+            assert gradient_value(t, s) > k0 + 0.1
             flipped = QuantumStrategy(s.theta, s.a_vecs, -s.b_vecs)
             assert scalar_value(t, flipped) < k0 - 0.1
-            assert _pi4_certified_value(t, flipped) is None
+            assert gradient_value(t, flipped) is None
 
     def test_w_zero_certifies_k0(self):
         t = CgTable(Scenario(3, 2), np.zeros((3, 2), int), [1, 0, -2], [0, 3], 0)
         s = quantum_bound(t, fix_theta=QUARTER_PI).strategy
-        assert _pi4_certified_value(t, s) == _correlators(t)[3] == 1.0
+        assert gradient_value(t, s) == _correlators(t)[3] == 1.0
