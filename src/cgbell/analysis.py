@@ -23,6 +23,11 @@ vectors go through the same certificate, which a see-saw stopped short of
 the maximum fails.  Whether q_me was certified is kept on the report, like
 `converged`, but not rendered.
 
+Theta is reported as 0 on a row whose free-theta value does not pass
+L + margin: that value is L to within the margin, which deterministic
+measurements attain exactly at theta = 0, so the see-saw's own theta, which
+its seed decides, is not reported.
+
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
 rendered deterministically (6 decimal places, round-half-even), so identical
@@ -134,7 +139,7 @@ def analyze_table(
     (seed, index), so rows are reproducible independently of batch order.
     The pi/4 one runs only when quantum._pi4_certified_value certifies no
     q_me from the free-theta vectors.  A free-theta value below L - margin
-    raises ValueError.
+    raises ValueError, and one at most L + margin reports theta = 0.
     """
     lift = detect_lifting(table)
     reduced = lift or table
@@ -164,7 +169,7 @@ def analyze_table(
         local=bound,
         noise=noise,
         quantum=free.value,
-        theta_over_pi=free.strategy.theta / math.pi,
+        theta_over_pi=free.strategy.theta / math.pi if free.value > bound + margin else 0.0,
         lam=noise_resistance(reduced, free.value),
         lam_me=noise_resistance(reduced, q_me),
         eta_sym=detection_threshold(reduced, q_me).eta,

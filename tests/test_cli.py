@@ -452,6 +452,22 @@ def test_unrendered_flags_are_pinned(name):
     assert {r.name for r in reports if not r.q_me_certified} == UNCERTIFIED_Q_ME.get(name, set())
 
 
+@pytest.mark.parametrize("name", ["fixtures.txt", "lifts_4x4.txt", "no_violation.txt"])
+def test_analyze_does_not_depend_on_the_seed(capsys, name):
+    # no_violation.txt holds positivity, positivity lifted to 4x4 and the zero
+    # table: their Q is L, which every theta reaches, and theta is reported as 0
+    outputs = []
+    for seed in range(5):
+        assert main(["analyze", "--input", str(DATA / name), "--seed", str(seed)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        outputs.append(out.out)
+    assert outputs == [outputs[0]] * 5
+    if name == "no_violation.txt":
+        rows = load_report_csv(outputs[0])
+        assert [row["theta_over_pi"] for row in rows] == ["0.000000"] * 3
+
+
 @pytest.mark.parametrize("name", ["fixtures.txt", "lifts_4x4.txt"])
 def test_json_report_holds_its_floats_to_1e_9(capsys, name):
     # fixtures_analyze.json holds `analyze --output json` of both inputs at
