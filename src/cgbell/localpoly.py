@@ -153,12 +153,9 @@ def facet_check(table: CgTable) -> FacetReport:
 
     saturating = values == table.bound
     n = int(saturating.sum())
-    if n <= 1:
-        rank = n
-    else:
-        gram = _gram(table.scenario, saturating)
-        nonzero = table.bound != 0 or table.d.any() or table.c.any() or table.e.any()
-        rank = _rational_rank(gram, min(n, dim_cg if nonzero else dim_cg + 1))
+    gram = _gram(table.scenario, saturating)
+    nonzero = table.bound != 0 or table.d.any() or table.c.any() or table.e.any()
+    rank = _rational_rank(gram, min(n, dim_cg if nonzero else dim_cg + 1))
     dim = rank - 1
     is_facet = is_valid and dim == dim_cg - 1
     return FacetReport(is_valid, n, dim, is_facet)

@@ -172,6 +172,12 @@ class TestFacetCheck:
         assert facet_check(t) == FacetReport(False, 0, -1, False)
         assert oracles.facet_check_fraction(t) == (False, 0, -1, False)
 
+    def test_single_vertex_face(self):
+        # only a = b = 1 reaches 3: one vertex, affine dimension 0
+        t = CgTable(Scenario(1, 1), [[1]], [1], [1], 3)
+        assert facet_check(t) == FacetReport(True, 1, 0, False)
+        assert oracles.facet_check_fraction(t) == (True, 1, 0, False)
+
     def test_primes_certify_every_gram_matrix(self):
         # distinct primes below 2^31 whose product exceeds the Hadamard bound
         # (2^16)^81 of any principal minor of a Gram matrix up to 8x8
