@@ -45,13 +45,13 @@ Its maximum over unit vectors of any dimension is a semidefinite program
 over the elliptope (Tsirelson, Lett. Math. Phys. 4, 93 (1980)), and every
 dual point bounds it: when Diag(mu) - [[0, w/2], [w^T/2, 0]] is positive
 definite, no pi/4 strategy of any dimension exceeds k0 + sum(mu).
-_pi4_certified_value is the one certificate of q_me, the pi/4 value: it
-tests that matrix by one Cholesky factor, first at the point uniform per
-party, which proves that no pi/4 value passes a given bound plus _margin
-(analyze_table gives it L, which then stands in for q_me), then at the
-gradient point of a strategy's vectors, which proves their pi/4 value the
-global maximum to within _margin.  When both fail it returns None, and
-only then does analyze_table run a pi/4 see-saw.  _margin, MARGIN plus
+_pi4_certified_value is the one certificate of q_me, the pi/4 value.  The
+point uniform per party, a spectral bound in closed form, proves that no
+pi/4 value passes by MARGIN a given bound (analyze_table gives it L, which
+then stands in for q_me) or the pi/4 value v of a strategy's vectors;
+else v's gradient point, tested by one Cholesky factor, may prove v the
+global maximum to within _margin.  When all fail it returns None, and only
+then does analyze_table run a pi/4 see-saw.  _margin, MARGIN plus
 _ROUNDING * scale, is the one margin by which every stage tells a value
 above L.
 """
@@ -271,10 +271,11 @@ def _negative_definite(m, diag, mu):
 
 def _pi4_certified_value(table: CgTable, strategy: QuantumStrategy, bound) -> Optional[float]:
     """A value that no strategy at theta = pi/4, of any dimension, exceeds
-    by more than _margin: bound when the uniform dual point holds, else the
-    strategy's pi/4 value v when its gradient dual point holds, else None.
+    by more than _margin: bound when the spectral bound S is below
+    bound + MARGIN, else the strategy's pi/4 value v when S is below
+    v + MARGIN or v's gradient dual point holds, else None.
 
-    Both points weigh only the na' rows and nb' columns of w that are
+    Both dual points weigh only the na' rows and nb' columns of w that are
     nonzero, since settings of zero weight add nothing to any value.  A
     point mu holds when [[Diag(mu_a), w/2], [w^T/2, Diag(mu_b)]] has a
     Cholesky factor; negating Bob's rows and columns turns it into
@@ -283,11 +284,9 @@ def _pi4_certified_value(table: CgTable, strategy: QuantumStrategy, bound) -> Op
     Gram matrix G of unit vectors a[x] and R b[y], and <C, G> <=
     <Diag(mu), G> = sum(mu) as G is positive semidefinite with unit diagonal.
 
-    - The uniform point is slack/(2 na') on each row and slack/(2 nb') on
-      each column, slack = bound + _margin - k0 - _ROUNDING * scale, so that
-      k0 + sum(mu) is bound + _margin less rounding.  It holds just when
-      slack > |w|_2 sqrt(na' nb'), the best uniform point per party: the
-      minimum of na' alpha + nb' beta over alpha beta > |w|_2^2 / 4.
+    - S = k0 + |w'|_2 sqrt(na' nb') (k0 when w' is empty) is the best point
+      uniform per party, alpha on each row and beta on each column: the
+      minimum of na' alpha + nb' beta over alpha beta > |w'|_2^2 / 4.
     - The gradient point is mu[x] = |r[x]|/2 with r[x] = sum_y w[x, y] R b[y],
       and mu[y] = |sum_x w[x, y] a[x]|/2, each raised by the same amount so
       that k0 + sum(mu) = v + _margin.  At a block maximum sum(mu) = v - k0,
@@ -296,24 +295,22 @@ def _pi4_certified_value(table: CgTable, strategy: QuantumStrategy, bound) -> Op
       the matrix indefinite.
     """
     w, _, _, k0 = _correlators(table)
-    rounding = _ROUNDING * _scale(table)
-    margin = MARGIN + rounding  # _margin(table)
-    slack = bound + margin - k0 - rounding
     rows, cols = w.any(axis=1), w.any(axis=0)
     w = w[rows][:, cols]
-    if not w.size:  # w = 0: every pi/4 value is k0
-        return bound if slack >= 0 else float(k0)
-    na, nb = w.shape
-    m = np.zeros((na + nb,) * 2)
-    m[:na, na:], m[na:, :na] = w / 2, w.T / 2
-    if _negative_definite(m, 0.0, np.repeat([slack / (2 * na), slack / (2 * nb)], [na, nb])):
+    spectral = k0 + (np.linalg.norm(w, 2) * math.sqrt(w.size) if w.size else 0.0)
+    if spectral < bound + MARGIN:
         return bound
     a, rb = strategy.a_vecs[rows], strategy.b_vecs[cols] * (1, -1, 1)
     r = w @ rb
-    value = k0 + np.vdot(a, r)
+    value = float(k0 + np.vdot(a, r))
+    if spectral < value + MARGIN:
+        return value
+    na, nb = w.shape
+    m = np.zeros((na + nb,) * 2)
+    m[:na, na:], m[na:, :na] = w / 2, w.T / 2
     mu = np.concatenate((np.linalg.norm(r, axis=1), np.linalg.norm(w.T @ a, axis=1))) / 2
-    mu += (value + margin - k0 - mu.sum()) / len(mu)
-    return float(value) if _negative_definite(m, 0.0, mu) else None
+    mu += (value + _margin(table) - k0 - mu.sum()) / len(mu)
+    return value if _negative_definite(m, 0.0, mu) else None
 
 
 def _polish(m, k0, a, b, theta, value, free_theta, scale):

@@ -435,9 +435,9 @@ def test_fixture_outputs_are_byte_identical(capsys, command, expected):
     assert out.out.encode("utf-8") == (DATA / expected).read_bytes()
 
 
-# the rows whose q_me no pi/4 dual point certifies, even after the pi/4
+# the rows whose q_me no pi/4 certificate proves, even after the pi/4
 # see-saw; every row of the three files ends its see-saws converged
-UNCERTIFIED_Q_ME = {"canon_large.txt": {"hadamard"}}
+UNCERTIFIED_Q_ME = {}
 
 
 @pytest.mark.parametrize("name", ["fixtures.txt", "lifts_4x4.txt", "canon_large.txt"])

@@ -782,8 +782,9 @@ def below_k0(table):
 
 
 def uniform_point_holds(table, bound):
-    """Whether _pi4_certified_value's uniform point holds at bound, which it
-    then returns; its gradient point gets vectors that it does not certify."""
+    """Whether _pi4_certified_value's uniform point, the spectral bound,
+    holds at bound, which it then returns; the vectors it gets lie below
+    k0, which neither the spectral bound nor the gradient point certifies."""
     value = _pi4_certified_value(table, below_k0(table), bound)
     if _correlators(table)[0].any():
         assert value in (bound, None)
@@ -792,7 +793,8 @@ def uniform_point_holds(table, bound):
 
 def gradient_value(table, s):
     """_pi4_certified_value of the strategy with a bound below k0, which the
-    uniform point never proves: its gradient point alone."""
+    uniform point never proves: the strategy's pi/4 value when the spectral
+    bound or its gradient point proves it, else None."""
     return _pi4_certified_value(table, s, _correlators(table)[3] - 1.0)
 
 
@@ -807,9 +809,9 @@ class TestPi4Certificate:
                 assert gap <= 1e-9
 
     def test_cholesky_test_matches_the_svd_bound(self, fixtures, rng):
-        # the uniform point proves no pi/4 value above bound + _margin less
-        # rounding, so it holds at a bound 1e-9 * scale above svd - _margin
-        # and fails 1e-9 * scale below it
+        # the uniform point proves no pi/4 value above bound + MARGIN, which is
+        # bound + _margin less rounding, so it holds at a bound 1e-9 * scale
+        # above svd - _margin and fails 1e-9 * scale below it
         tables = [*fixtures, *relabeled_lifts(rng)]
         tables += [random_table(rng, na, nb) for na in range(1, 9) for nb in (na, 9 - na)]
         tables.append(CgTable(Scenario(3, 2), np.zeros((3, 2), int), [1, 0, -2], [0, 3], 0))
