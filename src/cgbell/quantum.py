@@ -1,8 +1,9 @@
 """Two-qubit quantum values and their see-saw maximization.
 
-The state family is |psi(theta)> = cos(theta)|00> + sin(theta)|11> with
-theta in [0, pi/4]; states with theta beyond pi/4 are locally equivalent to
-one in the range, with the bit flip absorbed into the measurement vectors.
+The state family is |psi(theta)> = cos(theta)|00> + sin(theta)|11>, and
+theta is reported in [0, pi/4]: theta -> -theta is undone by negating
+Alice's x and y components, and theta -> pi/2 - theta by negating every z
+component.  The see-saw runs on the whole circle; _gauge maps its result.
 Each binary measurement is the projector (1 + v.sigma)/2 for a unit Bloch
 vector v, which gives <A_x> = cos(2t) az, <B_y> = cos(2t) bz and
 <A_x B_y> = az bz + sin(2t)(ax bx - ay by).  In the table's correlator
@@ -23,10 +24,10 @@ D = diag(sin 2t, -sin 2t, 1) the functional is k0 + sum_xy a[x] . D M[x, y]
 b[y] over those rows, so the block gradients of Alice's vectors, marginals
 included, are D (M @ b) without its last row, one 2-D matrix product and
 one multiply, and Bob's are D (M^T @ a) likewise.  Theta is carried as
-(cos 2t, sin 2t), and its step is the point of the quarter circle where
-k1 cos 2t + k2 sin 2t is largest (_theta_step), so no sweep calls a
-trigonometric function; theta = atan2(sin 2t, cos 2t)/2 is formed once,
-for the restart that is polished.
+(cos 2t, sin 2t), and its step is the point of the circle where
+k1 cos 2t + k2 sin 2t is largest, (k1, k2)/hypot(k1, k2) (_theta_step),
+so no sweep calls a trigonometric function; theta = atan2(sin 2t,
+cos 2t)/2 is formed once, for the restart that is polished.
 
 quantum_bound works in two phases.  The sweeps, at most SWEEP_CAP of them,
 bring every restart near a local maximum; they stop once each restart has
@@ -170,30 +171,32 @@ def _batch_values(m, k0, a, b, d):
 
 
 def _theta_step(k1, k2):
-    """(c, s, top): the point (cos 2t, sin 2t), t in [0, pi/4], where
-    k1 cos 2t + k2 sin 2t is largest, and that largest value, for (R,) arrays.
-
-    On the quarter circle c, s >= 0 the largest value is at (max(k1, 0),
-    max(k2, 0)) over its norm, which is the value, unless k1, k2 <= 0;
-    then the larger endpoint wins, t = 0 on ties.
-    """
-    c, s = np.maximum(k1, 0.0), np.maximum(k2, 0.0)
-    top = np.hypot(c, s)
+    """(c, s, top): the point (cos 2t, sin 2t) of the circle where
+    k1 cos 2t + k2 sin 2t is largest, (k1, k2)/top, and that largest value,
+    top = hypot(k1, k2), for (R,) arrays; (1, 0), t = 0, where k1 = k2 = 0."""
+    top = np.hypot(k1, k2)
     if np.count_nonzero(top) == len(top):
-        return np.divide(c, top, out=c), np.divide(s, top, out=s), top
-    ends = top == 0.0
-    c[ends], s[ends] = k1[ends] >= k2[ends], k1[ends] < k2[ends]
-    top[ends] = 1.0
-    c /= top
-    s /= top
-    top[ends] = np.maximum(k1[ends], k2[ends])
-    return c, s, top
+        return k1 / top, k2 / top, top
+    moves = top > 0.0
+    c = np.divide(k1, top, out=np.ones_like(k1), where=moves)
+    return c, np.divide(k2, top, out=np.zeros_like(k2), where=moves), top
 
 
 def _theta_of(c, s) -> float:
-    """The t in [0, pi/4] of the point (cos 2t, sin 2t) = (c, s), as 0.0 where
-    s is a zero of either sign."""
-    return abs(math.atan2(s, c)) / 2
+    """The t in [-pi/2, pi/2] of the point (cos 2t, sin 2t) = (c, s)."""
+    return math.atan2(s, c) / 2
+
+
+def _gauge(theta, a, b):
+    """(theta, a, b) with the same value and theta taken mod pi, then moved
+    into [0, pi/4] (never -0.0) by the module docstring's two maps."""
+    theta = math.remainder(theta, math.pi)
+    if theta < 0.0:
+        a = a * (-1.0, -1.0, 1.0)
+    theta = abs(theta)
+    if theta > QUARTER_PI:
+        theta, a, b = math.pi / 2 - theta, a * (1.0, 1.0, -1.0), b * (1.0, 1.0, -1.0)
+    return theta, a, b
 
 
 def _batch_sweep(m, k0, a, b, d, update_theta):
@@ -319,9 +322,9 @@ def _polish(m, k0, a, b, theta, value, free_theta, scale):
 
     It stops once the gradient norm is below TOL * scale, and the restart
     is certified when H is then also below 1e-9 * scale, which leaves room
-    for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  A theta at 0
-    or pi/4 whose gradient points out of the range is held there.  Each step
-    solves (mu I - H) delta = g, mu raised tenfold from max(|g|, 1e-9 * scale)
+    for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  theta, when
+    free, moves on the whole circle, as in the sweeps.  Each step solves
+    (mu I - H) delta = g, mu raised tenfold from max(|g|, 1e-9 * scale)
     until mu I - H is positive definite (Levenberg-Marquardt), and takes the
     longest of delta, delta/2, delta/4, ... that does not lower the value by
     more than rounding.  Returns (a, b, theta, value, certified).
@@ -330,8 +333,6 @@ def _polish(m, k0, a, b, theta, value, free_theta, scale):
     na, n = len(a), 3 * (len(a) + len(b))
     for step in range(POLISH_STEPS + 1):
         g, h = _newton_model(m, a, b, theta, free_theta)
-        if free_theta and (theta <= 0.0 and g[n] <= 0.0 or theta >= QUARTER_PI and g[n] >= 0.0):
-            g, h = g[:n], h[:n, :n]  # theta held at its bound
         gnorm = math.sqrt(g @ g)
         system, diag = -h, h.diagonal()
         if gnorm < TOL * scale:
@@ -345,9 +346,7 @@ def _polish(m, k0, a, b, theta, value, free_theta, scale):
         # the steps delta, delta/2, ... as a batch, each vector retracted to its sphere
         moved = np.concatenate((a, b))[:, :, None] + delta[:n].reshape(-1, 3, 1) * _HALVINGS
         moved = _ascend(moved, moved)
-        thetas = np.full(len(_HALVINGS), theta)
-        if len(g) > n:
-            thetas = np.minimum(np.maximum(theta + _HALVINGS * delta[n], 0.0), QUARTER_PI)
+        thetas = theta + _HALVINGS * delta[n] if free_theta else np.full(len(_HALVINGS), theta)
         c, s = np.cos(2 * thetas), np.sin(2 * thetas)
         values = _batch_values(m, k0, _rows(moved[:na], c), _rows(moved[na:], c), _diagonal(s))
         rises = values >= value - _ROUNDING * scale
@@ -378,7 +377,7 @@ def quantum_bound(
     First all restarts are swept together, until every one of them has had
     a sweep that improved its value by less than TOL, or SWEEP_CAP times.
     Then the best restart, the earliest on ties, takes at most POLISH_STEPS
-    damped Newton steps, and the polished restart is returned.
+    damped Newton steps, and the polished restart is returned, gauged.
     ``converged`` is True when it is a certified local maximum: its gradient
     norm is below TOL * scale, with scale = 1 + sum|d|/4 + sum|c|/2 +
     sum|e|/2, and its Hessian is negative semidefinite up to 1e-9 * scale.
@@ -413,4 +412,4 @@ def quantum_bound(
     a, b, theta, value, converged = _polish(
         m, k0, a[:-1, :, best], b[:-1, :, best], theta, values[best], update_theta, _scale(table)
     )
-    return QuantumBoundResult(float(value), QuantumStrategy(float(theta), a, b), bool(converged))
+    return QuantumBoundResult(float(value), QuantumStrategy(*_gauge(theta, a, b)), bool(converged))

@@ -158,11 +158,11 @@ def block_gradient(table: CgTable, theta: float, a_vecs, b_vecs, party: str) -> 
 def seesaw_sweep(table: CgTable, theta: float, a_vecs, b_vecs, update_theta: bool = True):
     """One see-saw sweep of one strategy in scalar math: every Alice vector to
     the direction of its block gradient, then every Bob vector, then theta to
-    the maximum of k1 cos 2t + k2 sin 2t over [0, pi/4], with k1 = ua . a_z +
-    ub . b_z and k2 = sum_xy w[x][y] (a_x b_x - a_y b_y).  A vector whose
-    gradient is exactly zero keeps its direction.  theta is half of
-    atan2(k2, k1) moved to the nearest point of [0, pi/2] on the circle, so
-    ties between 0 and pi/2 go to 0, and phi = +-pi goes to pi/2.  Returns
+    the maximum of k1 cos 2t + k2 sin 2t over the whole circle, with
+    k1 = ua . a_z + ub . b_z and k2 = sum_xy w[x][y] (a_x b_x - a_y b_y).  A
+    vector whose gradient is exactly zero keeps its direction.  theta is
+    atan2(k2, k1)/2 in [-pi/2, pi/2], and 0 where k1 = k2 = 0, so it may lie
+    outside [0, pi/4]; cgbell.quantum._gauge maps it there.  Returns
     (theta, a_vecs, b_vecs)."""
 
     def towards(vecs, gradient):
@@ -182,10 +182,7 @@ def seesaw_sweep(table: CgTable, theta: float, a_vecs, b_vecs, update_theta: boo
             for x in range(len(a))
             for y in range(len(b))
         )
-        phi = math.atan2(k2, k1)
-        if phi < -3 * math.pi / 4:  # nearer to pi/2 than to 0
-            phi += 2 * math.pi
-        theta = min(max(phi, 0.0), math.pi / 2) / 2
+        theta = math.atan2(k2, k1) / 2 if k1 or k2 else 0.0
     return theta, np.array(a), np.array(b)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cgbell.quantum import (
     _batch_sweep,
     _batch_values,
     _diagonal,
+    _gauge,
     _margin,
     _newton_model,
     _pi4_certified_value,
@@ -66,8 +68,9 @@ def scalar_value(table, s):
 
 def seesaw_step(table, s, update_theta=True):
     """One full sweep (all Alice vectors, all Bob vectors, then theta) of one
-    strategy, by the scalar see-saw of the oracle."""
-    return QuantumStrategy(*oracles.seesaw_sweep(table, s.theta, s.a_vecs, s.b_vecs, update_theta))
+    strategy, by the scalar see-saw of the oracle, with theta gauged into
+    [0, pi/4]."""
+    return QuantumStrategy(*_gauge(*oracles.seesaw_sweep(table, s.theta, s.a_vecs, s.b_vecs, update_theta)))
 
 
 def block_coefficients(table, s, party):
@@ -86,13 +89,15 @@ def batch(table, starts):
 
 
 def batch_strategies(a, b, d, update_theta=True, starts=None):
-    """The strategies of a kernel batch; theta from (cos 2t, sin 2t) when it
-    is free, else the starts' theta."""
+    """The strategies of a kernel batch, gauged into theta in [0, pi/4];
+    theta from (cos 2t, sin 2t) when it is free, else the starts' theta."""
     return [
         QuantumStrategy(
-            _theta_of(a[-1, 2, r], d[0, r]) if update_theta else starts[r].theta,
-            a[:-1, :, r],
-            b[:-1, :, r],
+            *_gauge(
+                _theta_of(a[-1, 2, r], d[0, r]) if update_theta else starts[r].theta,
+                a[:-1, :, r],
+                b[:-1, :, r],
+            )
         )
         for r in range(a.shape[-1])
     ]
@@ -103,12 +108,9 @@ def functional_scale(table):
 
 
 def certified(table, s, free_theta):
-    """Gradient below TOL * scale and Hessian below 1e-9 * scale, by eigenvalues,
-    with theta held at a bound its gradient points out of."""
+    """Gradient below TOL * scale and Hessian below 1e-9 * scale, by eigenvalues."""
     w, ua, ub, _ = _correlators(table)
     g, h = _newton_model(_augmented(w, ua, ub), s.a_vecs, s.b_vecs, s.theta, free_theta)
-    if free_theta and (s.theta == 0.0 and g[-1] <= 0 or s.theta == QUARTER_PI and g[-1] >= 0):
-        g, h = g[:-1], h[:-1, :-1]
     scale = functional_scale(table)
     return bool(np.linalg.norm(g) < quantum.TOL * scale and np.linalg.eigvalsh(h).max() < 1e-9 * scale)
 
@@ -301,11 +303,12 @@ class TestSeesaw:
 
     def test_batch_of_one_follows_the_batch(self, fixtures, rng):
         # each restart of the kernel's batch against the scalar sweep of the
-        # oracle on that restart alone, which steps theta by arctan2; the
-        # value the batch reports is the value of the state it reaches.
-        # Some restarts of random tables run to theta near 1e-30, where the
-        # x and y of the vectors enter no probability, so rounding turns
-        # them freely: there the behaviors must agree, not the vectors
+        # oracle on that restart alone, which steps theta by arctan2; both
+        # run on the whole circle, ungauged, and the value the batch reports
+        # is the value of the state it reaches.  Some restarts of random
+        # tables run to sin 2t near 1e-30, where the x and y of the vectors
+        # enter no probability, so rounding turns them freely: there the
+        # behaviors must agree, not the vectors
         sweeps, compared = 30, 0
         tables = [(t, 50) for t in fixtures] + [(t, 10) for t in relabeled_lifts(rng)]
         tables += [(random_table(rng, na, nb), 20) for na, nb in ((1, 2), (2, 3), (4, 4), (6, 6))]
@@ -316,19 +319,22 @@ class TestSeesaw:
             for _ in range(sweeps):
                 values = _batch_sweep(m, k0, a, b, d, True)
             for r, (s, swept) in enumerate(zip(starts, batch_strategies(a, b, d))):
+                theta, va, vb = s.theta, s.a_vecs, s.b_vecs
                 for _ in range(sweeps):
-                    s = seesaw_step(t, s)
+                    theta, va, vb = oracles.seesaw_sweep(t, theta, va, vb)
                 assert abs(quantum_value(t, swept) - values[r]) <= 1e-12
-                assert abs(s.theta - swept.theta) <= 1e-12
-                alone, batched = (oracles.strategy_behavior(t.scenario, v) for v in (s, swept))
+                assert abs(math.cos(2 * theta) - a[-1, 2, r]) <= 1e-12
+                assert abs(math.sin(2 * theta) - d[0, r]) <= 1e-12
+                alone = QuantumStrategy(*_gauge(theta, va, vb))
+                alone, batched = (oracles.strategy_behavior(t.scenario, v) for v in (alone, swept))
                 for field in ("joint", "marg_a", "marg_b"):
                     np.testing.assert_allclose(
                         getattr(alone, field), getattr(batched, field), rtol=0, atol=1e-12
                     )
                 if swept.theta > 1e-6:
                     compared += 1
-                    np.testing.assert_allclose(s.a_vecs, swept.a_vecs, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(s.b_vecs, swept.b_vecs, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(va, a[:-1, :, r], rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(vb, b[:-1, :, r], rtol=0, atol=1e-12)
         assert compared >= 300
 
     def test_fixed_point_at_optimum(self, chsh_table):
@@ -372,42 +378,45 @@ class TestSeesaw:
 
     def test_theta_step_against_brute_force(self):
         # (c, s) = (cos 2t, sin 2t) reaches the maximum of k1 c + k2 s over a
-        # grid of t in [0, pi/4], and the step returns that maximum; where 0
-        # and pi/4 tie exactly, or nothing depends on theta, t is 0, and at
-        # phi = +-pi it is pi/4
+        # grid of the whole circle, and the step returns that maximum; where
+        # nothing depends on theta, (0, 0), the step is (1, 0) and t is 0
         ring = np.linspace(-math.pi, math.pi, 96, endpoint=False)  # holds the axes and +-3pi/4
-        endpoints = {
-            (0.0, 0.0): 0.0,
-            (-1.0, -1.0): 0.0,  # phi = -3pi/4, k1 = k2 < 0
-            (-3.0, -3.0): 0.0,
-            (2.0, 0.0): 0.0,
-            (2.0, -0.0): 0.0,
-            (0.0, -2.0): 0.0,
-            (0.0, 2.0): QUARTER_PI,
-            (-2.0, 0.0): QUARTER_PI,  # phi = pi
-            (-2.0, -0.0): QUARTER_PI,  # phi = -pi
-            (-1.0, 1.0): QUARTER_PI,  # phi = 3pi/4
-        }
-        # the ring at three radii, then k1 = k2 > 0 exactly
-        k1 = np.concatenate([r * np.cos(ring) for r in (1.0, 1e-3, 1e3)] + [[1.0, 3.0]])
-        k2 = np.concatenate([r * np.sin(ring) for r in (1.0, 1e-3, 1e3)] + [[1.0, 3.0]])
-        k1 = np.append(k1, [x for x, _ in endpoints])
-        k2 = np.append(k2, [y for _, y in endpoints])
+        axes = [(2.0, 0.0), (-2.0, 0.0), (0.0, 2.0), (0.0, -2.0), (2.0, -0.0), (-2.0, -0.0)]
+        k1 = np.concatenate([r * np.cos(ring) for r in (1.0, 1e-3, 1e3)] + [[x for x, _ in axes]])
+        k2 = np.concatenate([r * np.sin(ring) for r in (1.0, 1e-3, 1e3)] + [[y for _, y in axes]])
         c, s, top = _theta_step(k1, k2)
-        theta = [_theta_of(x, y) for x, y in zip(c, s)]
-        grid = np.linspace(0.0, QUARTER_PI, 10**5)
-        for x, y, cx, sx, v, t in zip(k1, k2, c, s, top, theta):
-            best = (x * np.cos(2 * grid) + y * np.sin(2 * grid)).max()
+        grid = np.linspace(-math.pi, math.pi, 4 * 10**5)
+        for x, y, cx, sx, v in zip(k1, k2, c, s, top):
+            best = (x * np.cos(grid) + y * np.sin(grid)).max()
             scale = 1e-12 * math.hypot(x, y)
-            assert 0.0 <= t <= QUARTER_PI
-            assert cx >= 0.0 and sx >= 0.0 and abs(math.hypot(cx, sx) - 1.0) <= 1e-15
+            t = _theta_of(cx, sx)
+            assert -math.pi / 2 <= t <= math.pi / 2
+            assert abs(math.hypot(cx, sx) - 1.0) <= 1e-15
             assert abs(math.cos(2 * t) - cx) <= 1e-15 and abs(math.sin(2 * t) - sx) <= 1e-15
             assert x * cx + y * sx >= best - scale
             assert abs(v - (x * cx + y * sx)) <= scale
-        for t, expected in zip(theta[-len(endpoints):], endpoints.values()):
-            assert t == expected and not np.signbit(t)
-        assert _theta_of(0.0, 1.0) == QUARTER_PI and _theta_of(1.0, 0.0) == 0.0
-        assert not np.signbit(_theta_of(1.0, -0.0))
+        c, s, top = _theta_step(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+        assert (c[0], s[0], top[0]) == (1.0, 0.0, 0.0) and _theta_of(c[0], s[0]) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 4), (5, 5), (6, 3), (7, 8), (8, 8)])
+    def test_gauge_keeps_the_value(self, fixtures, rng, shape):
+        # theta anywhere in [-2 pi, 2 pi], and at every multiple of pi/4
+        # there, lands in [0, pi/4], never at -0.0, with the functional's
+        # value; where theta is pi/4 mod pi/2 the gauged vectors' pi/4 value,
+        # which the pi/4 certificate reads, is the input's value too
+        tables = [*fixtures, *(random_table(rng, *shape) for _ in range(3))]
+        quarters = [k * QUARTER_PI for k in range(-8, 9)]
+        for t in tables:
+            na, nb = t.scenario.na, t.scenario.nb
+            for theta in [*rng.uniform(-2 * math.pi, 2 * math.pi, size=20), *quarters, -0.0]:
+                s = random_strategy(rng, na, nb)
+                raw = oracles.correlator_value(t, SimpleNamespace(theta=theta, a_vecs=s.a_vecs, b_vecs=s.b_vecs))
+                gauged = QuantumStrategy(*_gauge(theta, s.a_vecs, s.b_vecs))
+                assert 0.0 <= gauged.theta <= QUARTER_PI and not np.signbit(gauged.theta)
+                assert abs(quantum_value(t, gauged) - raw) <= 1e-12
+                if theta in quarters[1::2]:
+                    pi4 = QuantumStrategy(QUARTER_PI, gauged.a_vecs, gauged.b_vecs)
+                    assert abs(quantum_value(t, pi4) - raw) <= 1e-12
 
     def test_zero_gradient_keeps_direction(self, chsh_table, rng):
         # CHSH has ua = 0 and d[0] = (1, 1), so Alice's setting 0 has zero
@@ -528,7 +537,7 @@ class TestPolishNearAMinimum:
         a, b, theta, polished, _ = quantum._polish(*f, a, b, theta, value, True, scale)
         assert False in tests
         assert polished >= value - _ROUNDING * scale
-        at_end = _batch_values(*batch(t, [QuantumStrategy(theta, a, b)]))[0]
+        at_end = _batch_values(*batch(t, [QuantumStrategy(*_gauge(theta, a, b))]))[0]
         assert polished == pytest.approx(at_end, abs=_ROUNDING * scale)
 
     @pytest.mark.parametrize("make", [chsh, i3322])
@@ -734,6 +743,7 @@ class TestQuantumBound:
             quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
             assert len(polished) == 1
             a, b, theta, value = polished[0][2:6]
+            theta, a, b = _gauge(theta, a, b)
             swept = list(replayed(t, fix_theta, restarts, seed, len(sweeps)))
             values = [quantum_value(t, s) for s in swept]
             assert value == pytest.approx(max(values), abs=1e-12)
