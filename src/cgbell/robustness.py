@@ -79,10 +79,9 @@ def noise_resistance(table: CgTable, q: float) -> float:
 
 @dataclass(frozen=True)
 class DetectionAnalysis:
-    """Threshold bundle: both-fire value q, one-detector values m_a/m_b,
-    no-detector value x, the optimal no-click assignment and its eta."""
+    """Threshold bundle: one-detector values m_a/m_b, no-detector value x,
+    the optimal no-click assignment and its eta."""
 
-    q: float
     m_a: float
     m_b: float
     x: float
@@ -147,7 +146,6 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
         eta = float(etas[i, j])
     a_bits, b_bits = _bit_rows(table.scenario.na), _bit_rows(table.scenario.nb)
     return DetectionAnalysis(
-        q_me,
         float(m_a2[j]) / 2,
         float(m_b2[i]) / 2,
         float(x_grid[i, j]),
