@@ -38,6 +38,7 @@ from cgbell.cli import main
 from cgbell.quantum import QUARTER_PI, _margin
 
 from oracles import apply_relabeling, random_relabeling
+from test_cli import DATA
 from test_localpoly import embed, random_embedding
 
 
@@ -76,12 +77,15 @@ def test_fixtures_match_the_bundled_reference(fixture_report, tmp_path):
 
 @pytest.mark.parametrize("output", ["csv", "json", "md"])
 def test_worker_count_does_not_change_the_report(fixture_file, output):
-    serial, pooled = (
-        cli("analyze", "--input", str(fixture_file), "--output", output, "--workers", workers)
-        for workers in ("1", "2")
-    )
-    assert serial[0] == 0 and serial[2] == ""
-    assert pooled == serial
+    # the five fixtures, their 4x4 lifts and the 5x5-8x8 tables, where the
+    # see-saws do the most work
+    for path in (fixture_file, DATA / "lifts_4x4.txt", DATA / "canon_large.txt"):
+        serial, pooled = (
+            cli("analyze", "--input", str(path), "--output", output, "--workers", workers)
+            for workers in ("1", "2")
+        )
+        assert serial[0] == 0 and serial[2] == "", path.name
+        assert pooled == serial, path.name
 
 
 def test_pool_is_sized_to_the_rows(fixture_file, fixture_report, monkeypatch):
