@@ -423,12 +423,15 @@ DATA = Path(__file__).resolve().parent / "data"
         # tables of test_symmetry.py and CHSH+CHSH+I3422_1 (direct_sum of
         # test_robustness.py), drawn from default_rng(2019)
         (["canon", "--input", str(DATA / "canon_large.txt")], "canon_large_canon.txt"),
+        (["analyze", "--input", str(DATA / "canon_large.txt")], "canon_large_analyze.csv"),
     ],
 )
 def test_fixture_outputs_are_byte_identical(capsys, command, expected):
-    # the files hold the commands' output at the default options; every CSV
-    # value lies at least 3.3e-8 from a 6-decimal rounding boundary, so
-    # rounding noise in BLAS cannot move a digit
+    # the files hold the commands' output at the default options.  Every CSV
+    # value of the fixtures and their 4x4 lifts lies at least 3.3e-8 from a
+    # 6-decimal rounding boundary; in canon_large_analyze.csv the closest is
+    # hadamard's Q = 7.313708498984762, only 1.0e-9 from 7.3137085, which is
+    # still far above the rounding noise of BLAS (about 1e-15)
     assert main(command) == 0
     out = capsys.readouterr()
     assert out.err == ""
@@ -468,10 +471,10 @@ def test_analyze_does_not_depend_on_the_seed(capsys, name):
         assert [row["theta_over_pi"] for row in rows] == ["0.000000"] * 3
 
 
-@pytest.mark.parametrize("name", ["fixtures.txt", "lifts_4x4.txt"])
+@pytest.mark.parametrize("name", ["fixtures.txt", "lifts_4x4.txt", "canon_large.txt"])
 def test_json_report_holds_its_floats_to_1e_9(capsys, name):
-    # fixtures_analyze.json holds `analyze --output json` of both inputs at
-    # the default options; the CSV rounds to 6 decimals, so only this pin
+    # fixtures_analyze.json holds `analyze --output json` of the three inputs
+    # at the default options; the CSV rounds to 6 decimals, so only this pin
     # sees a drift of the see-saw between 1e-9 and 5e-7
     expected = json.loads((DATA / "fixtures_analyze.json").read_text(encoding="utf-8"))[name]
     assert main(["analyze", "--input", str(DATA / name), "--output", "json"]) == 0
