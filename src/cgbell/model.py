@@ -55,10 +55,8 @@ class Scenario:
 
     def __post_init__(self):
         for n in (self.na, self.nb):
-            if not isinstance(n, int) or not 1 <= n <= MAX_SETTINGS:
-                raise ValueError(
-                    f"setting counts must be integers in 1..{MAX_SETTINGS}, got {self!r}"
-                )
+            if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_SETTINGS:
+                raise ValueError(f"setting counts must be integers in 1..{MAX_SETTINGS}, got {self!r}")
 
     def cg_dimension(self) -> int:
         """Number of independent probability coordinates: na*nb + na + nb."""
@@ -116,12 +114,12 @@ class CgTable:
         if abs(int(self.bound)) > MAX_COEFFICIENT:
             raise ValueError(f"bound must lie within +-2**44, got {self.bound}")
         object.__setattr__(self, "bound", int(self.bound))
-        # a name must survive serialize_file: parse_file strips it and '#'
-        # opens a comment; nor may it hold a line end of str.splitlines, at
-        # which other readers of the file would break the line
+        # a name must be a str that survives serialize_file: parse_file strips
+        # it, '#' opens a comment, and other readers break lines at each line
+        # end of str.splitlines; the strip and splitlines test also refuses ''
         name = self.name
         if name is not None and (
-            not name or "#" in name or name != name.strip() or name.splitlines() != [name]
+            not isinstance(name, str) or "#" in name or name.strip().splitlines() != [name]
         ):
             raise ValueError(f"invalid inequality name {name!r}")
 

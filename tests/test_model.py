@@ -55,6 +55,13 @@ class TestScenario:
     def test_str(self):
         assert str(Scenario(3, 4)) == "3x4"
 
+    @pytest.mark.parametrize("na,nb", [(True, 2), (2, True), (True, True)])
+    def test_bool_counts_rejected(self, na, nb):
+        # True is an int, but the report would print "Truex2" and
+        # serialize_file would write "scenario True 2", which parse_file refuses
+        with pytest.raises(ValueError, match="setting counts must be integers"):
+            Scenario(na, nb)
+
 
 class TestCgTable:
     def test_shape_validation(self):
@@ -133,6 +140,12 @@ class TestCgTable:
             with pytest.raises(ValueError):
                 CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name=name)
         assert CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name="a b\tc").name == "a b\tc"
+
+    @pytest.mark.parametrize("name", [5, 1.5, b"CHSH", ["CHSH"]])
+    def test_name_must_be_a_str(self, name):
+        # a ValueError like every other refused name, not a TypeError
+        with pytest.raises(ValueError, match="invalid inequality name"):
+            CgTable(Scenario(1, 1), [[1]], [0], [0], 0, name=name)
 
     @pytest.mark.parametrize(
         "values", [[[1 + 1j, 0], [0, 0]], [["1", "0"], ["0", "0"]], [[None, 0], [0, 0]]]
