@@ -21,7 +21,9 @@ when no pi/4 strategy exceeds it by more than the margin.  Only when it
 returns None does the theta = pi/4 see-saw run; its value is q_me, and its
 vectors go through the same certificate, which a see-saw stopped short of
 the maximum fails.  Whether q_me was certified is kept on the report, like
-`converged`, but not rendered.
+`converged`, but not rendered.  A correlation-form row's free-theta see-saw
+holds theta at pi/4 (quantum module docstring): a violating row reads
+theta/pi = 0.25, and a certified q_me is Q to within rounding.
 
 Theta is reported as 0 on a row whose free-theta value does not pass
 L + margin: that value is L to within the margin, which deterministic

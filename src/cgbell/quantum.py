@@ -40,19 +40,19 @@ ch. 4-7), which stop at a certified local maximum: the gradient norm below
 TOL * scale and the Hessian negative semidefinite up to 1e-9 * scale, which
 leaves room for the gauge's zero modes.
 
-At theta = pi/4 the marginal terms vanish and the functional is a pure
-correlator, k0 + sum_xy w[x, y] a[x] . (R b[y]) with R = diag(1, -1, 1).
-Its maximum over unit vectors of any dimension is a semidefinite program
-over the elliptope (Tsirelson, Lett. Math. Phys. 4, 93 (1980)), and every
-dual point bounds it: when Diag(mu) - [[0, w/2], [w^T/2, 0]] is positive
-definite, no pi/4 strategy of any dimension exceeds k0 + sum(mu).
-_pi4_certified_value is the one certificate of q_me, the pi/4 value.  The
-point uniform per party, a spectral bound in closed form, proves that no
-pi/4 value passes by MARGIN a given bound (analyze_table gives it L, which
-then stands in for q_me) or the pi/4 value v of a strategy's vectors;
-else v's gradient point, tested by one Cholesky factor, may prove v the
-global maximum to within _margin.  When all fail it returns None, and only
-then does analyze_table run a pi/4 see-saw.  _margin, MARGIN plus
+At theta = pi/4 the one-party terms vanish and the functional is a pure
+correlator, k0 + sum_xy w[x, y] a[x] . (R b[y]) with R = diag(1, -1, 1);
+quantum_bound(fix_theta=QUARTER_PI) keeps only that part.  Without
+one-party terms the value of any vectors, k0 + zz + sin(2t) k2, peaks at
+sin 2t = +-1, which _gauge maps to pi/4, so theta moves only where ua or ub
+is nonzero: else it starts and stays at pi/4, and the sweeps move the
+vectors alone.  The maximum over unit vectors of any dimension is a
+semidefinite program over the elliptope (Tsirelson, Lett. Math. Phys. 4,
+93 (1980)), and every dual point bounds it: when Diag(mu) - [[0, w/2],
+[w^T/2, 0]] is positive definite, no pi/4 strategy of any dimension
+exceeds k0 + sum(mu).  _pi4_certified_value, the one certificate of q_me,
+tries a spectral bound in closed form and a strategy's gradient point; only
+when both fail does analyze_table run a pi/4 see-saw.  _margin, MARGIN plus
 _ROUNDING * scale, is the one margin by which every stage tells a value
 above L.
 """
@@ -220,17 +220,19 @@ def _batch_sweep(m, k0, a, b, d, update_theta):
     return k0 + zz + top
 
 
-def _newton_model(m, a, b, theta, free_theta):
+def _newton_model(m, a, b, theta):
     """Gradient g and Hessian H of the functional at one restart, a (na, 3)
     and b (nb, 3), in the coordinates that the polish steps in.
 
     Each vector v moves by a step delta in its tangent plane through the
-    retraction v -> (v + delta)/|v + delta|, and theta follows as the last
-    coordinate when free_theta.  With r the block gradient and P = I - v v^T,
-    the gradient is P r, and the Hessian has the blocks w[x, y] P_a D P_b,
-    D = diag(s, -s, 1) and s = sin 2 theta, between Alice's x and Bob's y,
-    and -(r . v) P on each vector, the retraction's curvature.  Each
-    vector's normal direction is an exact zero of g and H.
+    retraction v -> (v + delta)/|v + delta|, and theta is the last
+    coordinate.  With r the block gradient and P = I - v v^T, the gradient
+    is P r, and the Hessian has the blocks w[x, y] P_a D P_b, D = diag(s,
+    -s, 1) and s = sin 2 theta, between Alice's x and Bob's y, and -(r . v) P
+    on each vector, the retraction's curvature.  Each vector's normal
+    direction is an exact zero of g and H.  Without one-party terms, at
+    theta = pi/4, theta's entries are multiples of cos 2 theta = 6e-17 but
+    H_tt = -4 k2 <= 0 (k2 >= 0 at a block maximum): theta decouples.
     """
     na, nv = len(a), len(a) + len(b)
     na3, n = 3 * na, 3 * nv
@@ -242,15 +244,13 @@ def _newton_model(m, a, b, theta, free_theta):
     r = p * diagonal
     radial = np.einsum("ij,ij->i", r, v)
     proj = np.eye(3) - v[:, :, None] * v[:, None, :]
-    g, h = np.empty(n + free_theta), np.zeros((n + free_theta,) * 2)
+    g, h = np.empty(n + 1), np.zeros((n + 1,) * 2)
     # the blocks w[x, y] P_a D P_b from one matrix product
     cross = (proj[:na] * diagonal).reshape(na3, 3) @ proj[na:].transpose(1, 0, 2).reshape(3, -1)
     h[:na3, na3:n] = (cross.reshape(na, 3, -1, 3) * m[:-1, None, :-1, None]).reshape(na3, -1)
     h[na3:n, :na3] = h[:na3, na3:n].T
     np.einsum("iaib->iab", h[:n, :n].reshape(nv, 3, nv, 3))[...] = -radial[:, None, None] * proj
     g[:n] = (r - radial[:, None] * v).ravel()
-    if not free_theta:
-        return g, h
     r_theta = p * (2 * ct, -2 * ct, 0.0)  # d r/d theta
     r_theta[:, 2] = -2 * st * u
     # the functional is k0 + zz + k1 cos 2t + k2 sin 2t (_batch_sweep)
@@ -316,14 +316,14 @@ def _pi4_certified_value(table: CgTable, strategy: QuantumStrategy, bound) -> Op
     return value if _negative_definite(m, 0.0, mu) else None
 
 
-def _polish(m, k0, a, b, theta, value, free_theta, scale):
+def _polish(m, k0, a, b, theta, value, scale):
     """Damped Newton ascent of one restart from (a, b, theta), which has
     the given value, in at most POLISH_STEPS steps.
 
     It stops once the gradient norm is below TOL * scale, and the restart
     is certified when H is then also below 1e-9 * scale, which leaves room
-    for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  theta, when
-    free, moves on the whole circle, as in the sweeps.  Each step solves
+    for the exact zero mode of the Rz(phi) x Rz(-phi) gauge.  theta moves
+    on the whole circle, as in the sweeps.  Each step solves
     (mu I - H) delta = g, mu raised tenfold from max(|g|, 1e-9 * scale)
     until mu I - H is positive definite (Levenberg-Marquardt), and takes the
     longest of delta, delta/2, delta/4, ... that does not lower the value by
@@ -332,7 +332,7 @@ def _polish(m, k0, a, b, theta, value, free_theta, scale):
     floor = 1e-9 * scale
     na, n = len(a), 3 * (len(a) + len(b))
     for step in range(POLISH_STEPS + 1):
-        g, h = _newton_model(m, a, b, theta, free_theta)
+        g, h = _newton_model(m, a, b, theta)
         gnorm = math.sqrt(g @ g)
         system, diag = -h, h.diagonal()
         if gnorm < TOL * scale:
@@ -346,7 +346,7 @@ def _polish(m, k0, a, b, theta, value, free_theta, scale):
         # the steps delta, delta/2, ... as a batch, each vector retracted to its sphere
         moved = np.concatenate((a, b))[:, :, None] + delta[:n].reshape(-1, 3, 1) * _HALVINGS
         moved = _ascend(moved, moved)
-        thetas = theta + _HALVINGS * delta[n] if free_theta else np.full(len(_HALVINGS), theta)
+        thetas = theta + _HALVINGS * delta[n]
         c, s = np.cos(2 * thetas), np.sin(2 * thetas)
         values = _batch_values(m, k0, _rows(moved[:na], c), _rows(moved[na:], c), _diagonal(s))
         rises = values >= value - _ROUNDING * scale
@@ -372,29 +372,29 @@ def quantum_bound(
 ) -> QuantumBoundResult:
     """Multi-restart see-saw maximization of the functional, polished by
     Newton steps: a lower bound on the quantum maximum, fixed by the seed.
-    Vectors start uniform on the sphere and theta uniform on [0, pi/4]
-    unless ``fix_theta`` pins it (pi/4 for maximally entangled analyses).
+    ``fix_theta``, None or QUARTER_PI, picks the functional: the table's,
+    or its correlator part, the value at theta = pi/4 (q_me).  Vectors start
+    uniform on the sphere, and theta uniform on [0, pi/4] where it moves,
+    else at pi/4 (module docstring).
     First all restarts are swept together, until every one of them has had
     a sweep that improved its value by less than TOL, or SWEEP_CAP times.
     Then the best restart, the earliest on ties, takes at most POLISH_STEPS
     damped Newton steps, and the polished restart is returned, gauged.
-    ``converged`` is True when it is a certified local maximum: its gradient
-    norm is below TOL * scale, with scale = 1 + sum|d|/4 + sum|c|/2 +
-    sum|e|/2, and its Hessian is negative semidefinite up to 1e-9 * scale.
+    ``converged`` is True when it is a certified local maximum: gradient
+    norm below TOL * _scale(table), Hessian below 1e-9 * _scale(table).
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if fix_theta is not None and not 0.0 <= fix_theta <= QUARTER_PI + _UNIT_TOL:
-        raise ValueError("fix_theta must lie in [0, pi/4]")
+    if fix_theta is not None and fix_theta != QUARTER_PI:
+        raise ValueError("fix_theta must be None or QUARTER_PI")
     rng = np.random.default_rng(seed)
     a = _random_units(rng, (restarts, table.scenario.na))
     b = _random_units(rng, (restarts, table.scenario.nb))
-    update_theta = fix_theta is None
-    if update_theta:
-        theta = rng.uniform(0.0, QUARTER_PI, size=restarts)
-    else:
-        theta = np.full(restarts, float(fix_theta))
     w, ua, ub, k0 = _correlators(table)
+    if fix_theta is not None:
+        ua, ub = np.zeros_like(ua), np.zeros_like(ub)
+    update_theta = bool(ua.any() or ub.any())
+    theta = rng.uniform(0.0, QUARTER_PI, restarts) if update_theta else np.full(restarts, QUARTER_PI)
     m = _augmented(w, ua, ub)
     c = np.cos(2 * theta)
     a, b, d = _rows(a, c), _rows(b, c), _diagonal(np.sin(2 * theta))
@@ -408,8 +408,8 @@ def quantum_bound(
             break
 
     best = int(np.argmax(values))  # the earliest on ties
-    theta = _theta_of(a[-1, 2, best], d[0, best]) if update_theta else theta[best]
+    theta = _theta_of(a[-1, 2, best], d[0, best])
     a, b, theta, value, converged = _polish(
-        m, k0, a[:-1, :, best], b[:-1, :, best], theta, values[best], update_theta, _scale(table)
+        m, k0, a[:-1, :, best], b[:-1, :, best], theta, values[best], _scale(table)
     )
     return QuantumBoundResult(float(value), QuantumStrategy(*_gauge(theta, a, b)), bool(converged))

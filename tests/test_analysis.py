@@ -26,8 +26,11 @@ from cgbell import (
     analyze_table,
     analyze_tables,
     chsh,
+    correlation_form,
     i3322,
     local_bound,
+    parse_file,
+    quantum,
     reference_csv_path,
     to_csv,
     to_json,
@@ -295,6 +298,28 @@ def test_fixtures_run_the_pi4_seesaw_only_without_a_certificate(monkeypatch):
     assert calls == [None, QUARTER_PI] * len(reports)
     assert not any(r.q_me_certified for r in uncertified)
     assert to_csv(uncertified) == to_csv(reports)
+
+
+def test_correlation_form_rows_hold_theta_at_pi4(monkeypatch):
+    # CHSH, its zero-lifts and the 8x8 hadamard row have no one-party terms,
+    # so the free-theta see-saw never steps theta: it holds pi/4, and Q is
+    # the pi/4 value that the certificate returns as q_me
+    tables = [chsh()]
+    for name in ("lifts_4x4.txt", "canon_large.txt"):
+        tables += parse_file((DATA / name).read_text(encoding="utf-8"))
+    tables = [t for t in tables if correlation_form(t) is not None]
+    lifts = [f"CHSH_r{k}" for k in (1, 2, 3)] + [f"CHSH_{n}x{n}" for n in (5, 6, 7, 8)]
+    assert [t.name for t in tables] == ["CHSH", *lifts, "hadamard"]
+
+    def stepped(*args):
+        raise AssertionError("the see-saw stepped theta")
+
+    monkeypatch.setattr(quantum, "_theta_step", stepped)
+    for t in tables:
+        r = analyze_table(t)
+        assert r.has_correlation_form and r.converged and r.q_me_certified, t.name
+        assert r.theta_over_pi == 0.25, t.name
+        assert abs(r.lam - r.lam_me) <= 1e-15, t.name
 
 
 def test_validate_names_the_row_and_the_column(reports):

@@ -364,7 +364,9 @@ def test_input_with_a_byte_order_mark_reads_as_without(fixture_file, tmp_path, c
 
 
 def test_analyze_warns_about_an_unconverged_see_saw(fixture_file, capsys, monkeypatch):
-    # one sweep per restart and no Newton step: no row's best restart is certified
+    # one sweep per restart and no Newton step: no row's best restart is
+    # certified but CHSH's, whose see-saw holds theta at pi/4 and reaches its
+    # maximum in one sweep
     monkeypatch.setattr(quantum, "SWEEP_CAP", 1)
     monkeypatch.setattr(quantum, "POLISH_STEPS", 0)
     fixtures = all_fixtures()
@@ -375,6 +377,7 @@ def test_analyze_warns_about_an_unconverged_see_saw(fixture_file, capsys, monkey
     assert warnings == [
         f"warning: row {i} ({t.name}): see-saw did not reach a certified local maximum"
         for i, t in enumerate(fixtures, start=1)
+        if t.name != "CHSH"
     ]
     assert not ROW_FAILURE.search(out.err)
 

@@ -107,10 +107,25 @@ def functional_scale(table):
     return 1 + np.abs(table.d).sum() / 4 + np.abs(table.c).sum() / 2 + np.abs(table.e).sum() / 2
 
 
-def certified(table, s, free_theta):
-    """Gradient below TOL * scale and Hessian below 1e-9 * scale, by eigenvalues."""
-    w, ua, ub, _ = _correlators(table)
-    g, h = _newton_model(_augmented(w, ua, ub), s.a_vecs, s.b_vecs, s.theta, free_theta)
+def functional(table, pi4=False):
+    """quantum_bound's functional (m, k0): the table's, or with pi4 its
+    correlator part, the value at theta = pi/4, without ua and ub."""
+    w, ua, ub, k0 = _correlators(table)
+    return _augmented(w, 0 * ua, 0 * ub) if pi4 else _augmented(w, ua, ub), k0
+
+
+def theta_moves(table, fix_theta):
+    """Whether quantum_bound steps theta: only on the table's own functional,
+    and only where it has one-party terms."""
+    _, ua, ub, _ = _correlators(table)
+    return fix_theta is None and bool(ua.any() or ub.any())
+
+
+def certified(table, s, fix_theta):
+    """Gradient below TOL * scale and Hessian below 1e-9 * scale, by
+    eigenvalues, on the functional that quantum_bound maximizes."""
+    m, _ = functional(table, fix_theta is not None)
+    g, h = _newton_model(m, s.a_vecs, s.b_vecs, s.theta)
     scale = functional_scale(table)
     return bool(np.linalg.norm(g) < quantum.TOL * scale and np.linalg.eigvalsh(h).max() < 1e-9 * scale)
 
@@ -124,18 +139,18 @@ def cap_work(monkeypatch, budget):
 
 
 def replayed(table, fix_theta, restarts, seed, sweeps):
-    """quantum_bound's starting restarts, each swept alone ``sweeps`` times."""
+    """quantum_bound's starting restarts, each swept alone ``sweeps`` times;
+    where theta is held, the oracle keeps the table's one-party terms, which
+    cos(pi/2) = 6e-17 weighs."""
     draws = np.random.default_rng(seed)
     a = _random_units(draws, (restarts, table.scenario.na))
     b = _random_units(draws, (restarts, table.scenario.nb))
-    if fix_theta is None:
-        theta = draws.uniform(0.0, QUARTER_PI, size=restarts)
-    else:
-        theta = np.full(restarts, fix_theta)
+    moves = theta_moves(table, fix_theta)
+    theta = draws.uniform(0.0, QUARTER_PI, size=restarts) if moves else np.full(restarts, QUARTER_PI)
     for k in range(restarts):
         s = QuantumStrategy(theta[k], a[..., k], b[..., k])
         for _ in range(sweeps):
-            s = seesaw_step(table, s, update_theta=fix_theta is None)
+            s = seesaw_step(table, s, update_theta=moves)
         yield s
 
 
@@ -466,37 +481,38 @@ class TestNewtonModel:
     _batch_values along the retraction v -> (v + s u)/|v + s u|."""
 
     @staticmethod
-    def values_along(table, s, u, u_theta, steps):
-        w, ua, ub, k0 = _correlators(table)
+    def values_along(m, k0, s, u, u_theta, steps):
         na = len(s.a_vecs)
         moved = np.concatenate((s.a_vecs, s.b_vecs)) + steps[:, None, None] * u
         moved /= np.linalg.norm(moved, axis=2, keepdims=True)
         moved = moved.transpose(1, 2, 0)
         two = 2 * (s.theta + steps * u_theta)  # may pass pi/2, which no QuantumStrategy holds
         a, b = _rows(moved[:na], np.cos(two)), _rows(moved[na:], np.cos(two))
-        return _batch_values(_augmented(w, ua, ub), k0, a, b, _diagonal(np.sin(two)))
+        return _batch_values(m, k0, a, b, _diagonal(np.sin(two)))
 
     @pytest.mark.parametrize("theta", [None, 0.0, QUARTER_PI])
-    @pytest.mark.parametrize("free_theta", [True, False])
-    def test_against_finite_differences(self, rng, theta, free_theta):
+    @pytest.mark.parametrize("pi4", [True, False])
+    def test_against_finite_differences(self, rng, theta, pi4):
+        # on the table's functional and on its correlator part, the two that
+        # quantum_bound maximizes; theta is always the last coordinate
         for na, nb in ((2, 2), (2, 3), (3, 4), (4, 4)):
             t = random_table(rng, na, nb)
             scale = functional_scale(t)
+            m, k0 = functional(t, pi4)
             for _ in range(3):
                 s = random_strategy(rng, na, nb, theta)
-                w, ua, ub, _ = _correlators(t)
-                g, h = _newton_model(_augmented(w, ua, ub), s.a_vecs, s.b_vecs, s.theta, free_theta)
+                g, h = _newton_model(m, s.a_vecs, s.b_vecs, s.theta)
                 n = 3 * (na + nb)
-                assert h.shape == (len(g), len(g)) == (n + free_theta,) * 2
+                assert h.shape == (len(g), len(g)) == (n + 1,) * 2
                 np.testing.assert_array_equal(h, h.T)
                 v = np.concatenate((s.a_vecs, s.b_vecs))
                 u = rng.normal(size=v.shape)
                 u -= np.sum(u * v, axis=1, keepdims=True) * v  # tangent to each sphere
-                u_theta = rng.normal() if free_theta else 0.0
-                step = np.append(u.ravel(), u_theta) if free_theta else u.ravel()
-                f1 = self.values_along(t, s, u, u_theta, np.array([1e-5, -1e-5]))
+                u_theta = rng.normal()
+                step = np.append(u.ravel(), u_theta)
+                f1 = self.values_along(m, k0, s, u, u_theta, np.array([1e-5, -1e-5]))
                 assert (f1[0] - f1[1]) / 2e-5 == pytest.approx(g @ step, abs=1e-7 * scale)
-                f2 = self.values_along(t, s, u, u_theta, np.array([1e-3, 0.0, -1e-3]))
+                f2 = self.values_along(m, k0, s, u, u_theta, np.array([1e-3, 0.0, -1e-3]))
                 second = (f2[0] - 2 * f2[1] + f2[2]) / 1e-6
                 assert second == pytest.approx(step @ h @ step, abs=1e-5 * scale)
                 # each vector's normal direction is an exact zero of g and H
@@ -504,6 +520,22 @@ class TestNewtonModel:
                 normal[:n] = v.ravel() * rng.normal(size=(na + nb, 1)).repeat(3, axis=1).ravel()
                 assert abs(g @ normal) <= 1e-12 * scale
                 assert np.abs(h @ normal).max() <= 1e-12 * scale
+
+    def test_theta_decouples_from_the_correlator_part_at_pi4(self, fixtures, rng):
+        # at a pi/4 see-saw maximum, where each vector follows its block
+        # gradient, theta's row of g and H on the correlator part is a
+        # multiple of cos(pi/2) = 6e-17 but for H_tt = -4 k2 <= 0, so the
+        # polish cannot move theta off pi/4
+        tables = [*fixtures, *(random_table(rng, na, nb) for na, nb in ((2, 3), (5, 5), (8, 8)))]
+        for t in tables:
+            s = quantum_bound(t, fix_theta=QUARTER_PI).strategy
+            assert s.theta == QUARTER_PI
+            m, _ = functional(t, pi4=True)
+            g, h = _newton_model(m, s.a_vecs, s.b_vecs, s.theta)
+            scale, w = functional_scale(t), m[:-1, :-1]
+            k2 = s.a_vecs[:, 0] @ w @ s.b_vecs[:, 0] - s.a_vecs[:, 1] @ w @ s.b_vecs[:, 1]
+            assert k2 >= 0.0 and h[-1, -1] == pytest.approx(-4 * k2, abs=1e-12 * scale)
+            assert abs(g[-1]) <= 1e-15 * scale and np.abs(h[-1, :-1]).max() <= 1e-15 * scale
 
 
 class TestPolishNearAMinimum:
@@ -534,7 +566,7 @@ class TestPolishNearAMinimum:
         monkeypatch.setattr(
             quantum, "_negative_definite", lambda *args: tests.append(real(*args)) or tests[-1]
         )
-        a, b, theta, polished, _ = quantum._polish(*f, a, b, theta, value, True, scale)
+        a, b, theta, polished, _ = quantum._polish(*f, a, b, theta, value, scale)
         assert False in tests
         assert polished >= value - _ROUNDING * scale
         at_end = _batch_values(*batch(t, [QuantumStrategy(*_gauge(theta, a, b))]))[0]
@@ -546,7 +578,7 @@ class TestPolishNearAMinimum:
         f, a, b, theta, value = self.start(t, rng)
         no_rise = np.full(len(quantum._HALVINGS), -math.inf)
         monkeypatch.setattr(quantum, "_batch_values", lambda *args: no_rise)
-        out = quantum._polish(*f, a, b, theta, value, True, functional_scale(t))
+        out = quantum._polish(*f, a, b, theta, value, functional_scale(t))
         assert out[0] is a and out[1] is b and out[2:] == (theta, value, False)
 
 
@@ -618,9 +650,17 @@ class TestQuantumBound:
         assert r1.strategy.theta == r2.strategy.theta
 
     def test_theta_zero_reaches_local_bound(self, fixtures):
+        # the premise of analyze_table's theta = 0 rule: at theta = 0 the
+        # vectors +z (outcome 0) and -z (outcome 1) play each fixture's
+        # maximising deterministic vertex, and reach L
         for t in fixtures:
-            result = quantum_bound(t, fix_theta=0.0, restarts=50, seed=1)
-            assert result.value == pytest.approx(local_bound(t), abs=1e-9)
+            na, nb = t.scenario.na, t.scenario.nb
+            alpha, beta = max(
+                itertools.product(itertools.product((0, 1), repeat=na), itertools.product((0, 1), repeat=nb)),
+                key=lambda ab: evaluate(t, Behavior.deterministic(t.scenario, *ab)),
+            )
+            s = QuantumStrategy(0.0, [Z if x else -Z for x in alpha], [Z if y else -Z for y in beta])
+            assert quantum_value(t, s) == pytest.approx(local_bound(t), abs=1e-12)
 
     def test_ordering_free_vs_fixed_vs_local(self, fixtures):
         for t in fixtures:
@@ -632,8 +672,11 @@ class TestQuantumBound:
     def test_restart_validation(self, chsh_table):
         with pytest.raises(ValueError):
             quantum_bound(chsh_table, restarts=0)
-        with pytest.raises(ValueError):
-            quantum_bound(chsh_table, fix_theta=1.0)
+        # fix_theta only picks the pi/4 functional, no other angle
+        for theta in (1.0, 0.0, QUARTER_PI / 2, np.nextafter(QUARTER_PI, 0.0), math.nan):
+            with pytest.raises(ValueError, match="fix_theta must be None or QUARTER_PI"):
+                quantum_bound(chsh_table, fix_theta=theta)
+        assert quantum_bound(chsh_table, fix_theta=math.pi / 4, restarts=2).strategy.theta == QUARTER_PI
 
 
     @pytest.mark.parametrize("budget", [1, 3, 2000])
@@ -663,7 +706,7 @@ class TestQuantumBound:
             )
             r = quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
             assert r.value >= best - 1e-12
-            assert r.converged == certified(t, r.strategy, fix_theta is None)
+            assert r.converged == certified(t, r.strategy, fix_theta)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-4])
     @pytest.mark.parametrize("fix_theta", [None, QUARTER_PI])
@@ -681,7 +724,7 @@ class TestQuantumBound:
             first_small = []
             for s in replayed(t, fix_theta, restarts, seed, 0):
                 for k in range(1, SWEEP_CAP + 1):
-                    stepped = seesaw_step(t, s, update_theta=fix_theta is None)
+                    stepped = seesaw_step(t, s, update_theta=theta_moves(t, fix_theta))
                     if quantum_value(t, stepped) - quantum_value(t, s) < tol:
                         break
                     s = stepped
@@ -757,11 +800,13 @@ class TestQuantumBound:
             if not t.d.any():
                 assert taken == 0
 
-    def test_zero_table_takes_theta_zero(self):
-        # k1 = k2 = 0 and no interior peak: the tie goes to theta = 0
+    def test_zero_table_holds_theta_at_pi4(self, monkeypatch):
+        # no one-party terms, so theta is never stepped; analyze_table
+        # reports theta = 0 on such a row, whose value is L
+        monkeypatch.setattr(quantum, "_theta_step", None)
         zero = CgTable(Scenario(2, 2), np.zeros((2, 2), int), np.zeros(2, int), np.zeros(2, int), 0)
         r = quantum_bound(zero, restarts=5, seed=0)
-        assert r.strategy.theta == 0.0
+        assert r.strategy.theta == QUARTER_PI
         assert r.value == 0.0 and r.converged
 
 
@@ -934,8 +979,9 @@ class TestPi4GradientCertificate:
                     if not r.converged:
                         truncated += 1
                         assert gradient_value(t, r.strategy) is None, (t.name, seed)
-        # all but CHSH at pi/4, whose see-saw reaches its maximum in one sweep
-        assert truncated == 36
+        # all but CHSH, whose see-saw holds theta at pi/4 in both runs and
+        # reaches its maximum in one sweep
+        assert truncated == 32
 
     def test_no_certificate_just_below_the_maximum(self, fixtures, rng):
         # vectors moved by about 1e-4 from a pi/4 maximum lose about 1e-8,
