@@ -32,8 +32,9 @@ its seed decides, is not reported.
 
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
-rendered deterministically (6 decimal places, round-half-even), so identical
-inputs, seed and restarts give byte-identical CSV.
+rendered deterministically (6 decimal places, round-half-even), and the
+see-saw's budget is constant (quantum.RESTARTS and its neighbours), so
+identical inputs and seed give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ def _derived_seed(seed: int, index: int, stream: int) -> int:
 def analyze_table(
     table: CgTable,
     index: int = 1,
-    restarts: int = 50,
     seed: int = 0,
 ) -> AnalysisReport:
     """Run the full pipeline on one inequality.
@@ -149,19 +149,14 @@ def analyze_table(
     noise = white_noise_value(reduced)
     facet = facet_check(reduced)
     corr = correlation_form(reduced)
-    free = quantum_bound(reduced, restarts=restarts, seed=_derived_seed(seed, index, 0))
+    free = quantum_bound(reduced, seed=_derived_seed(seed, index, 0))
     margin = _margin(reduced)
     if free.value < bound - margin:
         raise ValueError(f"row {index}: quantum value {free.value} below local bound {bound}")
     q_me, converged = _pi4_certified_value(reduced, free.strategy, bound), free.converged
     certified = q_me is not None
     if not certified:
-        fixed = quantum_bound(
-            reduced,
-            fix_theta=QUARTER_PI,
-            restarts=restarts,
-            seed=_derived_seed(seed, index, 1),
-        )
+        fixed = quantum_bound(reduced, fix_theta=QUARTER_PI, seed=_derived_seed(seed, index, 1))
         q_me, converged = fixed.value, converged and fixed.converged
         certified = _pi4_certified_value(reduced, fixed.strategy, bound) is not None
     report = AnalysisReport(
@@ -194,7 +189,6 @@ class RowFailure:
 
 def analyze_tables(
     tables: Sequence[CgTable],
-    restarts: int = 50,
     seed: int = 0,
     workers: int = 1,
 ) -> tuple[list[AnalysisReport], list[RowFailure]]:
@@ -204,7 +198,7 @@ def analyze_tables(
     or completion order; output keeps input order.  The pool has at most
     one process per row and per CPU.
     """
-    jobs = [(t, i, restarts, seed) for i, t in enumerate(tables, start=1)]
+    jobs = [(t, i, seed) for i, t in enumerate(tables, start=1)]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it loads multiprocessing, which a serial run never needs

@@ -63,7 +63,7 @@ def _read(path: str, parse):
 
 def _cmd_analyze(args) -> int:
     tables = _read(args.input, parse_file)
-    reports, failures = analyze_tables(tables, restarts=args.restarts, seed=args.seed, workers=args.workers)
+    reports, failures = analyze_tables(tables, seed=args.seed, workers=args.workers)
     render = {"csv": to_csv, "json": to_json, "md": to_markdown}[args.output]
     sys.stdout.write(render(reports))
     for r in reports:
@@ -128,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis of an inequality file")
     p.add_argument("--input", required=True, help="inequality file")
     p.add_argument("--output", choices=("csv", "json", "md"), default="csv")
-    p.add_argument(
-        "--restarts", type=_number(int, 1), default=50, help="see-saw restarts per optimization"
-    )
     p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument(
         "--workers", type=_number(int, 1), default=1, help="parallel per-inequality workers"

@@ -69,6 +69,7 @@ from .model import CgTable, _correlators
 
 _UNIT_TOL = 1e-12
 QUARTER_PI = math.pi / 4
+RESTARTS = 50  # see-saw starting points per run
 SWEEP_CAP = 30  # see-saw sweeps before the Newton polish
 TOL = 1e-10  # a sweep's least gain, and the polish's gradient norm per unit scale
 MARGIN = 1e-9  # how far Q must pass L beyond the reach of rounding
@@ -367,39 +368,38 @@ def _random_units(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarra
 def quantum_bound(
     table: CgTable,
     fix_theta: Optional[float] = None,
-    restarts: int = 50,
     seed: int = 0,
 ) -> QuantumBoundResult:
     """Multi-restart see-saw maximization of the functional, polished by
-    Newton steps: a lower bound on the quantum maximum, fixed by the seed.
+    Newton steps: a lower bound on the quantum maximum, fixed by the table,
+    ``fix_theta`` and the seed, since the budget (RESTARTS, SWEEP_CAP, TOL,
+    POLISH_STEPS) is constant.
     ``fix_theta``, None or QUARTER_PI, picks the functional: the table's,
     or its correlator part, the value at theta = pi/4 (q_me).  Vectors start
     uniform on the sphere, and theta uniform on [0, pi/4] where it moves,
     else at pi/4 (module docstring).
-    First all restarts are swept together, until every one of them has had
+    First all RESTARTS restarts are swept together, until each has had
     a sweep that improved its value by less than TOL, or SWEEP_CAP times.
     Then the best restart, the earliest on ties, takes at most POLISH_STEPS
     damped Newton steps, and the polished restart is returned, gauged.
     ``converged`` is True when it is a certified local maximum: gradient
     norm below TOL * _scale(table), Hessian below 1e-9 * _scale(table).
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     if fix_theta is not None and fix_theta != QUARTER_PI:
         raise ValueError("fix_theta must be None or QUARTER_PI")
     rng = np.random.default_rng(seed)
-    a = _random_units(rng, (restarts, table.scenario.na))
-    b = _random_units(rng, (restarts, table.scenario.nb))
+    a = _random_units(rng, (RESTARTS, table.scenario.na))
+    b = _random_units(rng, (RESTARTS, table.scenario.nb))
     w, ua, ub, k0 = _correlators(table)
     if fix_theta is not None:
         ua, ub = np.zeros_like(ua), np.zeros_like(ub)
     update_theta = bool(ua.any() or ub.any())
-    theta = rng.uniform(0.0, QUARTER_PI, restarts) if update_theta else np.full(restarts, QUARTER_PI)
+    theta = rng.uniform(0.0, QUARTER_PI, RESTARTS) if update_theta else np.full(RESTARTS, QUARTER_PI)
     m = _augmented(w, ua, ub)
     c = np.cos(2 * theta)
     a, b, d = _rows(a, c), _rows(b, c), _diagonal(np.sin(2 * theta))
     values = _batch_values(m, k0, a, b, d)
-    done = np.zeros(restarts, dtype=bool)
+    done = np.zeros(RESTARTS, dtype=bool)
     for _ in range(SWEEP_CAP):
         new_values = _batch_sweep(m, k0, a, b, d, update_theta)
         done |= new_values - values < TOL

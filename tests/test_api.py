@@ -9,6 +9,7 @@ variables when it is imported.
 
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import cgbell
+from cgbell import analysis, quantum
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -74,6 +76,16 @@ def test_removed_names_stay_unexported(name):
     assert not hasattr(cgbell, name)
     for module in pkgutil.iter_modules(cgbell.__path__):
         assert not hasattr(importlib.import_module(f"cgbell.{module.name}"), name), module.name
+
+
+@pytest.mark.parametrize(
+    "function", [quantum.quantum_bound, analysis.analyze_table, analysis.analyze_tables]
+)
+def test_see_saw_budget_is_no_parameter(function):
+    # RESTARTS, SWEEP_CAP, TOL and POLISH_STEPS fix the budget, so a report
+    # depends only on its input and seed
+    assert quantum.RESTARTS == 50
+    assert {"restarts", "tol"}.isdisjoint(inspect.signature(function).parameters)
 
 
 def test_benchmark_hooks_resolve(spans):

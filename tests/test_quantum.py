@@ -138,10 +138,11 @@ def cap_work(monkeypatch, budget):
     monkeypatch.setattr(quantum, "POLISH_STEPS", min(POLISH_STEPS, budget - sweeps))
 
 
-def replayed(table, fix_theta, restarts, seed, sweeps):
-    """quantum_bound's starting restarts, each swept alone ``sweeps`` times;
-    where theta is held, the oracle keeps the table's one-party terms, which
-    cos(pi/2) = 6e-17 weighs."""
+def replayed(table, fix_theta, seed, sweeps):
+    """quantum_bound's quantum.RESTARTS starting restarts, each swept alone
+    ``sweeps`` times; where theta is held, the oracle keeps the table's
+    one-party terms, which cos(pi/2) = 6e-17 weighs."""
+    restarts = quantum.RESTARTS
     draws = np.random.default_rng(seed)
     a = _random_units(draws, (restarts, table.scenario.na))
     b = _random_units(draws, (restarts, table.scenario.nb))
@@ -600,7 +601,7 @@ class TestClosedForms:
         (table,) = [t for t in fixtures if t.name == name]
         closed = oracles.QUANTUM_CLOSED_FORMS[name]
         for t in (table, self.lifted(table, rng)):
-            r = quantum_bound(t, restarts=50, seed=0)
+            r = quantum_bound(t, seed=0)
             # relabeling shifts the functional by a constant, and its bound with it
             assert r.value - t.bound == pytest.approx(closed - table.bound, abs=1e-12)
             assert r.converged
@@ -616,35 +617,35 @@ class TestClosedForms:
                 quantum, name, lambda *args, real=real: calls.append(1) or real(*args)
             )
         i3422_1, i3422_2 = fixtures[2], fixtures[3]
-        r = quantum_bound(i3422_1, restarts=50, seed=0)
+        r = quantum_bound(i3422_1, seed=0)
         assert r.value == pytest.approx(math.sqrt(5), abs=1e-12) and r.converged
         assert len(calls) <= 100
         calls.clear()
-        r = quantum_bound(i3422_2, restarts=50, seed=0)
+        r = quantum_bound(i3422_2, seed=0)
         assert r.value >= 1.2595871038277529 - 1e-12 and r.converged
         assert len(calls) <= 100
 
 
 class TestQuantumBound:
     def test_chsh(self, chsh_table):
-        result = quantum_bound(chsh_table, restarts=30, seed=0)
+        result = quantum_bound(chsh_table, seed=0)
         assert result.value == pytest.approx(0.2071, abs=2e-4)
         assert result.strategy.theta / math.pi == pytest.approx(0.25, abs=1e-3)
         assert result.converged
 
     def test_i3322(self, i3322_table):
-        result = quantum_bound(i3322_table, restarts=30, seed=0)
+        result = quantum_bound(i3322_table, seed=0)
         assert result.value == pytest.approx(0.25, abs=2e-4)
         assert result.strategy.theta / math.pi == pytest.approx(0.25, abs=1e-3)
 
     def test_i3422_1_partially_entangled(self, fixtures):
-        result = quantum_bound(fixtures[2], restarts=60, seed=0)
+        result = quantum_bound(fixtures[2], seed=0)
         assert result.strategy.theta / math.pi == pytest.approx(0.2332, abs=2e-3)
         assert result.value - 2 == pytest.approx(math.sqrt(5) - 2, abs=2e-4)
 
     def test_deterministic_for_seed(self, chsh_table):
-        r1 = quantum_bound(chsh_table, restarts=10, seed=42)
-        r2 = quantum_bound(chsh_table, restarts=10, seed=42)
+        r1 = quantum_bound(chsh_table, seed=42)
+        r2 = quantum_bound(chsh_table, seed=42)
         assert r1.value == r2.value
         np.testing.assert_array_equal(r1.strategy.a_vecs, r2.strategy.a_vecs)
         assert r1.strategy.theta == r2.strategy.theta
@@ -664,19 +665,17 @@ class TestQuantumBound:
 
     def test_ordering_free_vs_fixed_vs_local(self, fixtures):
         for t in fixtures:
-            free = quantum_bound(t, restarts=40, seed=2)
-            fixed = quantum_bound(t, fix_theta=QUARTER_PI, restarts=40, seed=3)
+            free = quantum_bound(t, seed=2)
+            fixed = quantum_bound(t, fix_theta=QUARTER_PI, seed=3)
             assert free.value >= fixed.value - 1e-9
             assert free.value >= local_bound(t) - 1e-9
 
     def test_restart_validation(self, chsh_table):
-        with pytest.raises(ValueError):
-            quantum_bound(chsh_table, restarts=0)
         # fix_theta only picks the pi/4 functional, no other angle
         for theta in (1.0, 0.0, QUARTER_PI / 2, np.nextafter(QUARTER_PI, 0.0), math.nan):
             with pytest.raises(ValueError, match="fix_theta must be None or QUARTER_PI"):
                 quantum_bound(chsh_table, fix_theta=theta)
-        assert quantum_bound(chsh_table, fix_theta=math.pi / 4, restarts=2).strategy.theta == QUARTER_PI
+        assert quantum_bound(chsh_table, fix_theta=math.pi / 4).strategy.theta == QUARTER_PI
 
 
     @pytest.mark.parametrize("budget", [1, 3, 2000])
@@ -685,7 +684,7 @@ class TestQuantumBound:
         # the returned value and strategy must come from the same sweep
         cap_work(monkeypatch, budget)
         for t in fixtures:
-            r = quantum_bound(t, fix_theta=fix_theta, restarts=20, seed=5)
+            r = quantum_bound(t, fix_theta=fix_theta, seed=5)
             assert abs(quantum_value(t, r.strategy) - r.value) <= 1e-12
 
     @pytest.mark.parametrize("budget", [1, 3, 2000])
@@ -694,7 +693,8 @@ class TestQuantumBound:
         # the polish only climbs from the capped sweeps, and converged
         # means certified at the returned strategy
         cap_work(monkeypatch, budget)
-        restarts, seed = 8, 3
+        monkeypatch.setattr(quantum, "RESTARTS", 8)
+        seed = 3
         rng = np.random.default_rng(11)
         tables = [chsh(), i3322(), i3422_3()]
         for na, nb in ((2, 2), (2, 3), (3, 2), (3, 3)):
@@ -702,9 +702,9 @@ class TestQuantumBound:
             tables.append(CgTable(t.scenario, t.d, t.c, t.e, local_bound(t)))
         for t in tables:
             best = max(
-                quantum_value(t, s) for s in replayed(t, fix_theta, restarts, seed, quantum.SWEEP_CAP)
+                quantum_value(t, s) for s in replayed(t, fix_theta, seed, quantum.SWEEP_CAP)
             )
-            r = quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
+            r = quantum_bound(t, fix_theta=fix_theta, seed=seed)
             assert r.value >= best - 1e-12
             assert r.converged == certified(t, r.strategy, fix_theta)
 
@@ -719,10 +719,11 @@ class TestQuantumBound:
         sweep = quantum._batch_sweep
         monkeypatch.setattr(quantum, "_batch_sweep", lambda *args: calls.append(1) or sweep(*args))
         monkeypatch.setattr(quantum, "TOL", tol)
-        restarts, seed = 8, 4
+        monkeypatch.setattr(quantum, "RESTARTS", 8)
+        seed = 4
         for t in fixtures:
             first_small = []
-            for s in replayed(t, fix_theta, restarts, seed, 0):
+            for s in replayed(t, fix_theta, seed, 0):
                 for k in range(1, SWEEP_CAP + 1):
                     stepped = seesaw_step(t, s, update_theta=theta_moves(t, fix_theta))
                     if quantum_value(t, stepped) - quantum_value(t, s) < tol:
@@ -730,7 +731,7 @@ class TestQuantumBound:
                     s = stepped
                 first_small.append(k)
             calls.clear()
-            quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
+            quantum_bound(t, fix_theta=fix_theta, seed=seed)
             assert len(calls) == max(first_small)
 
     @pytest.mark.parametrize("max_sweeps", [1, 5, 31, 45])
@@ -765,7 +766,7 @@ class TestQuantumBound:
         for t in fixtures[2:4]:
             counts.clear()
             steps.clear()
-            quantum_bound(t, restarts=20, seed=1)
+            quantum_bound(t, seed=1)
             sweeps = counts.count("sweep")
             assert sweeps <= quantum.SWEEP_CAP
             assert len(steps) == 1
@@ -779,15 +780,16 @@ class TestQuantumBound:
         monkeypatch.setattr(quantum, "_batch_sweep", lambda *args: sweeps.append(1) or sweep(*args))
         monkeypatch.setattr(quantum, "_polish", lambda *args: polished.append(args) or polish(*args))
         zero = CgTable(Scenario(2, 2), np.zeros((2, 2), int), np.zeros(2, int), np.zeros(2, int), 0)
-        restarts, seed = 8, 3
+        monkeypatch.setattr(quantum, "RESTARTS", 8)
+        seed = 3
         for t in (*fixtures, zero):
             sweeps.clear()
             polished.clear()
-            quantum_bound(t, fix_theta=fix_theta, restarts=restarts, seed=seed)
+            quantum_bound(t, fix_theta=fix_theta, seed=seed)
             assert len(polished) == 1
             a, b, theta, value = polished[0][2:6]
             theta, a, b = _gauge(theta, a, b)
-            swept = list(replayed(t, fix_theta, restarts, seed, len(sweeps)))
+            swept = list(replayed(t, fix_theta, seed, len(sweeps)))
             values = [quantum_value(t, s) for s in swept]
             assert value == pytest.approx(max(values), abs=1e-12)
             taken = next(
@@ -805,7 +807,7 @@ class TestQuantumBound:
         # reports theta = 0 on such a row, whose value is L
         monkeypatch.setattr(quantum, "_theta_step", None)
         zero = CgTable(Scenario(2, 2), np.zeros((2, 2), int), np.zeros(2, int), np.zeros(2, int), 0)
-        r = quantum_bound(zero, restarts=5, seed=0)
+        r = quantum_bound(zero, seed=0)
         assert r.strategy.theta == QUARTER_PI
         assert r.value == 0.0 and r.converged
 
@@ -969,13 +971,14 @@ class TestPi4GradientCertificate:
         assert gradient_value(t, r.strategy) is None
 
     def test_no_certificate_from_a_truncated_run(self, fixtures, monkeypatch):
-        # one sweep and no Newton step: the run ends short of a maximum
+        # one restart, one sweep and no Newton step: the run ends short of a maximum
         cap_work(monkeypatch, 1)
+        monkeypatch.setattr(quantum, "RESTARTS", 1)
         truncated = 0
         for t in fixtures:
             for seed in range(4):
                 for fix_theta in (None, QUARTER_PI):
-                    r = quantum_bound(t, fix_theta=fix_theta, restarts=1, seed=seed)
+                    r = quantum_bound(t, fix_theta=fix_theta, seed=seed)
                     if not r.converged:
                         truncated += 1
                         assert gradient_value(t, r.strategy) is None, (t.name, seed)

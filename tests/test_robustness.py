@@ -59,7 +59,7 @@ def direct_sum(*tables):
 @pytest.fixture(scope="module")
 def fixture_q_me(fixtures):
     return [
-        quantum_bound(t, fix_theta=QUARTER_PI, restarts=20, seed=1).value for t in fixtures
+        quantum_bound(t, fix_theta=QUARTER_PI, seed=1).value for t in fixtures
     ]
 
 
