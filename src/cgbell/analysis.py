@@ -25,10 +25,10 @@ the maximum fails.  Whether q_me was certified is kept on the report, like
 holds theta at pi/4 (quantum module docstring): a violating row reads
 theta/pi = 0.25, and a certified q_me is Q to within rounding.
 
-Theta is reported as 0 on a row whose free-theta value does not pass
-L + margin: that value is L to within the margin, which deterministic
-measurements attain exactly at theta = 0, so the see-saw's own theta, which
-its seed decides, is not reported.
+A row whose free-theta value does not pass L + margin reports Q = L and
+theta = 0: that value is L to within the margin, which deterministic
+measurements attain exactly at theta = 0, so neither the see-saw's value
+nor its theta, whose rounding and seed decide them, is reported.
 
 One row record (`_row_values`, keyed and ordered by CSV_COLUMNS) feeds all
 three formats: JSON dumps it, CSV and Markdown print its cells.  Reports are
@@ -141,7 +141,8 @@ def analyze_table(
     (seed, index), so rows are reproducible independently of batch order.
     The pi/4 one runs only when quantum._pi4_certified_value certifies no
     q_me from the free-theta vectors.  A free-theta value below L - margin
-    raises ValueError, and one at most L + margin reports theta = 0.
+    raises ValueError, and one at most L + margin reports Q = L and
+    theta = 0.
     """
     lift = detect_lifting(table)
     reduced = lift or table
@@ -153,6 +154,8 @@ def analyze_table(
     margin = _margin(reduced)
     if free.value < bound - margin:
         raise ValueError(f"row {index}: quantum value {free.value} below local bound {bound}")
+    violates = free.value > bound + margin
+    q = free.value if violates else float(bound)
     q_me, converged = _pi4_certified_value(reduced, free.strategy, bound), free.converged
     certified = q_me is not None
     if not certified:
@@ -165,9 +168,9 @@ def analyze_table(
         scenario=table.scenario,
         local=bound,
         noise=noise,
-        quantum=free.value,
-        theta_over_pi=free.strategy.theta / math.pi if free.value > bound + margin else 0.0,
-        lam=noise_resistance(reduced, free.value),
+        quantum=q,
+        theta_over_pi=free.strategy.theta / math.pi if violates else 0.0,
+        lam=noise_resistance(reduced, q),
         lam_me=noise_resistance(reduced, q_me),
         eta_sym=detection_threshold(reduced, q_me).eta,
         is_facet=facet.is_facet,

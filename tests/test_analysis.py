@@ -347,7 +347,25 @@ def test_a_free_value_below_the_margin_fails_its_row(monkeypatch, times, fails):
         with pytest.raises(ValueError, match="row 3: quantum value .* below local bound 0"):
             analyze_table(table, index=3)
     else:
-        assert analyze_table(table, index=3).quantum == low
+        # a value within the margin of L is reported as L
+        assert analyze_table(table, index=3).quantum == local_bound(table)
+
+
+def test_a_row_that_does_not_violate_reports_q_as_l(tmp_path):
+    # the see-saw ends at -1.1e-16 or +3.3e-16 by the seed, which printed
+    # Q as -0.000000 under some seeds and 0.000000 under others
+    path = tmp_path / "no_violation.txt"
+    path.write_text("inequality T\nscenario 1 2\nbound 0\nc -1\ne 0 -1\nd -2 2\nend\n", encoding="utf-8")
+    reports = set()
+    for seed in ("0", "8", "9", "11", "18", "28"):
+        code, report, err = cli("analyze", "--input", str(path), "--seed", seed)
+        assert (code, err) == (0, "")
+        reports.add(report)
+        code, report, _ = cli("analyze", "--input", str(path), "--seed", seed, "--output", "json")
+        (row,) = json.loads(report)
+        assert row["Q"] == 0.0 and row["theta_over_pi"] == 0.0
+    (report,) = reports
+    assert report.splitlines()[1].split(",")[5] == "0.000000"
 
 
 # tables whose violation, or lack of one, no positive scale changes: the
