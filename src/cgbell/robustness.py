@@ -29,6 +29,7 @@ needs computing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,18 @@ class NoClickAssignment:
             raise ValueError("no-click outputs must be bits")
 
 
+def _checked_noise(table: CgTable, q: float) -> float:
+    """The white-noise value N, after checking that q is a value that a
+    quantum run can return: a non-finite q raises ValueError, and one below
+    N - margin (quantum._margin) InconsistencyError."""
+    if not math.isfinite(q):
+        raise ValueError(f"quantum value must be finite, got {q}")
+    noise = white_noise_value(table)
+    if q < noise - _margin(table):
+        raise InconsistencyError(f"quantum value {q} below white-noise value {noise}")
+    return noise
+
+
 def noise_resistance(table: CgTable, q: float) -> float:
     """Visibility threshold lambda below which white-noise mixing kills the violation.
 
@@ -64,15 +77,13 @@ def noise_resistance(table: CgTable, q: float) -> float:
     exceeds L + margin and otherwise the certified pi/4 value of the
     free-theta vectors, and from quantum_bound with fix_theta = pi/4 when
     it certifies neither.  Returns 1.0 when there is no violation,
-    q <= L + margin (quantum._margin), so q may be L itself.  A q below
-    N - margin raises InconsistencyError.
+    q <= L + margin (quantum._margin), so q may be L itself, which
+    analyze_table passes as Q on a row that does not violate.  A non-finite
+    q raises ValueError, and one below N - margin InconsistencyError.
     """
+    noise = _checked_noise(table, q)
     bound = local_bound(table)
-    noise = white_noise_value(table)
-    margin = _margin(table)
-    if q < noise - margin:
-        raise InconsistencyError(f"quantum value {q} below white-noise value {noise}")
-    if q <= bound + margin:
+    if q <= bound + _margin(table):
         return 1.0
     return (bound - noise) / (q - noise)
 
@@ -121,8 +132,10 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     assignment.  Returns eta = 1 when the state does not violate at full
     efficiency, q_me <= L + margin (quantum._margin), so q_me may be L
     itself, which quantum._pi4_certified_value returns when no pi/4 value
-    exceeds L + margin.
+    exceeds L + margin.  As in noise_resistance, a non-finite q_me raises
+    ValueError, and one below N - margin InconsistencyError.
     """
+    _checked_noise(table, q_me)
     values = _vertex_values(table)
     bound = int(values.max())
     # assignment (a, b) substitutes a where alpha = 1 - a: reversing both

@@ -122,7 +122,7 @@ class TestCgTable:
             t = CgTable(Scenario(n, n), near_cap(signs), near_cap(signs[0]), near_cap(signs[1]), 0)
             assert white_noise_value(t) == oracles.white_noise_fraction(t)
             # no violation, and one far above every vertex value
-            for q_me in (0.0, 2.0**52):
+            for q_me in (local_bound(t), 2.0**52):
                 got = detection_threshold(t, q_me)
                 assignment = got.strategy.a_outputs, got.strategy.b_outputs
                 assert (got.m_a, got.m_b, got.x) == oracles.assignment_values(t, *assignment)

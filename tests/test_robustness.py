@@ -11,6 +11,7 @@ from cgbell import (
     InconsistencyError,
     NoClickAssignment,
     Scenario,
+    all_fixtures,
     chsh,
     detection_threshold,
     facet_check,
@@ -78,6 +79,28 @@ def assert_matches_roots(table, q_me):
     assert got.eta == pytest.approx(eta, abs=1e-12)
     assert got.strategy == NoClickAssignment(a_out, b_out)
     assert (got.m_a, got.m_b, got.x) == values
+
+
+def eta_sym(table, q_me):
+    return detection_threshold(table, q_me).eta
+
+
+@pytest.mark.parametrize("threshold", [noise_resistance, eta_sym])
+class TestQuantumValueCheck:
+    def test_a_value_no_run_returns_raises(self, chsh_table, threshold):
+        for q in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="quantum value must be finite"):
+                threshold(chsh_table, q)
+        with pytest.raises(InconsistencyError):
+            threshold(chsh_table, white_noise_value(chsh_table) - 1)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_consistent_value_gives_a_threshold_in_the_unit_interval(self, threshold, data):
+        table = data.draw(st.sampled_from(all_fixtures()))
+        noise = white_noise_value(table)
+        q = data.draw(st.floats(noise - _margin(table), noise + 2.0**40))
+        assert 0.0 < threshold(table, q) <= 1.0
 
 
 class TestNoiseResistance:
