@@ -54,9 +54,13 @@ class Scenario:
     nb: int
 
     def __post_init__(self):
-        for n in (self.na, self.nb):
-            if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_SETTINGS:
+        for field in ("na", "nb"):
+            n = getattr(self, field)
+            # np.bool_ is no np.integer; a numpy integer is stored as int, so
+            # that str, equality and pickling match
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_SETTINGS:
                 raise ValueError(f"setting counts must be integers in 1..{MAX_SETTINGS}, got {self!r}")
+            object.__setattr__(self, field, int(n))
 
     def cg_dimension(self) -> int:
         """Number of independent probability coordinates: na*nb + na + nb."""

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,7 +57,14 @@ class TestScenario:
     def test_str(self):
         assert str(Scenario(3, 4)) == "3x4"
 
-    @pytest.mark.parametrize("na,nb", [(True, 2), (2, True), (True, True)])
+    @pytest.mark.parametrize("kind", [np.int64, np.int8, np.uint16])
+    def test_numpy_integer_counts_are_stored_as_int(self, kind):
+        s = Scenario(kind(2), kind(3))
+        assert type(s.na) is int and type(s.nb) is int
+        assert s == Scenario(2, 3) and str(s) == "2x3"
+        assert pickle.dumps(s) == pickle.dumps(Scenario(2, 3))
+
+    @pytest.mark.parametrize("na,nb", [(True, 2), (2, True), (True, True), (np.True_, 2)])
     def test_bool_counts_rejected(self, na, nb):
         # True is an int, but the report would print "Truex2" and
         # serialize_file would write "scenario True 2", which parse_file refuses
