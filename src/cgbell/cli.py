@@ -127,8 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full analysis of an inequality file")
     p.add_argument("--input", required=True, help="inequality file")
-    p.add_argument("--output", choices=("csv", "json", "md"), default="csv")
-    p.add_argument("--seed", type=_number(int, 0), default=0)
+    p.add_argument("--output", choices=("csv", "json", "md"), default="csv", help="report format")
+    p.add_argument(
+        "--seed", type=_number(int, 0), default=0, help="seed of the see-saw starting points"
+    )
     p.add_argument(
         "--workers", type=_number(int, 1), default=1, help="parallel per-inequality workers"
     )
