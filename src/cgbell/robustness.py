@@ -55,14 +55,14 @@ class NoClickAssignment:
             raise ValueError("no-click outputs must be bits")
 
 
-def _checked_noise(table: CgTable, q: float) -> float:
+def _checked_noise(table: CgTable, q: float, margin: float) -> float:
     """The white-noise value N, after checking that q is a value that a
     quantum run can return: a non-finite q raises ValueError, and one below
-    N - margin (quantum._margin) InconsistencyError."""
+    N - margin, margin = quantum._margin(table), InconsistencyError."""
     if not math.isfinite(q):
         raise ValueError(f"quantum value must be finite, got {q}")
     noise = white_noise_value(table)
-    if q < noise - _margin(table):
+    if q < noise - margin:
         raise InconsistencyError(f"quantum value {q} below white-noise value {noise}")
     return noise
 
@@ -81,9 +81,10 @@ def noise_resistance(table: CgTable, q: float) -> float:
     analyze_table passes as Q on a row that does not violate.  A non-finite
     q raises ValueError, and one below N - margin InconsistencyError.
     """
-    noise = _checked_noise(table, q)
+    margin = _margin(table)
+    noise = _checked_noise(table, q, margin)
     bound = local_bound(table)
-    if q <= bound + _margin(table):
+    if q <= bound + margin:
         return 1.0
     return (bound - noise) / (q - noise)
 
@@ -135,7 +136,8 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     exceeds L + margin.  As in noise_resistance, a non-finite q_me raises
     ValueError, and one below N - margin InconsistencyError.
     """
-    _checked_noise(table, q_me)
+    margin = _margin(table)
+    _checked_noise(table, q_me, margin)
     values = _vertex_values(table)
     bound = int(values.max())
     # assignment (a, b) substitutes a where alpha = 1 - a: reversing both
@@ -146,7 +148,7 @@ def detection_threshold(table: CgTable, q_me: float) -> DetectionAnalysis:
     m_a2 = x_grid[0] + x_grid[-1]
     m_b2 = x_grid[:, 0] + x_grid[:, -1]
 
-    if q_me <= bound + _margin(table):
+    if q_me <= bound + margin:
         i = j = 0
         eta = 1.0
     else:
